@@ -2,11 +2,14 @@
 """Exhaustive census of the 1/d grid inside the order-3 Birkhoff polytope.
 
 Every 3 x 3 doubly stochastic matrix with entries in (1/d)Z is tested for
-saturation, exactly.  The saturating set always comes out as the union of
-the permutation orbits of the six canonical forms; at d = 60 that is a
-13.8M-candidate sweep reproducing the classification at desk scale.
+saturation, exactly.  The census fixes three entries and solves for the
+fourth (each saturating point is an integer root of a quadratic), so it
+covers the (d+1)^4 grid in O(d^3) work.  The saturating set always comes
+out as the union of the permutation orbits of the six canonical forms; at
+d = 60 (a 13.8M-point grid) and d = 120 that reproduces the classification
+at desk scale.
 
-Usage: python 03_grid_census.py [denominator]   (default 12, try 60)
+Usage: python 03_grid_census.py [denominator]   (default 12, try 60 or 120)
 """
 
 import sys
@@ -22,7 +25,7 @@ report = enumerate_grid(d)
 elapsed = time.time() - start
 
 print(f"denominator        : {report.denominator}")
-print(f"candidate cells    : {report.total_candidates:,}")
+print(f"grid points        : {report.total_candidates:,}")
 print(f"doubly stochastic  : {report.ds_count:,}")
 print(f"saturating         : {len(report.saturating)}")
 print(f"elapsed            : {elapsed:.1f}s")

@@ -33,7 +33,10 @@ def _threads(args):
         return args.threads
     env = os.environ.get("DS_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"DS_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -123,8 +126,12 @@ def cmd_construct(args):
 def cmd_enumerate(args):
     zero_cell = None
     if args.zero_cell:
-        i, j = args.zero_cell.split(",")
-        zero_cell = (int(i), int(j))
+        try:
+            i, j = args.zero_cell.split(",")
+            zero_cell = (int(i), int(j))
+        except ValueError:
+            raise ParseError("--zero-cell expects two integers I,J, "
+                             f"got {args.zero_cell!r}") from None
     report = explore.enumerate_grid(args.denominator, zero_cell=zero_cell,
                                     threads=_threads(args))
     found = []

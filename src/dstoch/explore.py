@@ -3,11 +3,16 @@
 Four harnesses:
 
   * enumerate_grid: exhaustive census of every 3 x 3 doubly stochastic
-    matrix with entries in (1/d) * Z, testing saturation exactly.  The
-    3 x 3 case has a 4-dimensional free cell (entries (0,0), (0,1), (1,0),
-    (1,1) scaled to integers in [0, d]); the other five entries are forced
-    by the sum constraints.  Vectorized with int64 numpy (all quantities
-    stay far below 2^63 at d <= 60).
+    matrix with entries in (1/d) * Z, testing saturation exactly.  Entries
+    (0,0), (0,1), (1,0), (1,1), scaled to integers in [0, d], determine
+    the other five through the sum constraints.  With the first three
+    fixed, every entry is affine in x22, so the doubly stochastic points
+    of each triple form an interval (counted in closed form) and
+    saturation at each of the six diagonals is an integer quadratic in x22
+    (solved exactly).  That is O(d^3) work instead of a sweep over the
+    (d+1)^4 grid.  Vectorized with int64 numpy; the largest intermediate,
+    the discriminant, is O(d^2), so nothing comes near 2^53 for
+    d <= DENOMINATOR_CAP.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -42,7 +47,7 @@ from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import CANONICAL_TAGS, canonical, classify3
 
-DENOMINATOR_CAP = 60
+DENOMINATOR_CAP = 240
 
 
 class DenominatorTooLarge(DomainError):
@@ -102,36 +107,83 @@ class ProbeReport:
 
 # ── exhaustive grid census ────────────────────────────────────────────────
 
-def _grid_pass(d, x11, zero_cell):
-    """One x11-slice of the census; returns (ds_count, saturating cells)."""
-    if zero_cell == (0, 0) and x11 != 0:
-        return 0, []
+# x11 slices per numpy pass; the thread pool maps over these blocks.  One
+# slice per pass leaves too little numpy work between GIL hand-offs for
+# threads to pay off.
+_SLICES_PER_BLOCK = 8
+
+
+def _census_block(d, x11s, zero_cell):
+    """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
+
+    With (x11, x12, x21) fixed and t = x22 free, the sums force
+    x13 = d - x11 - x12 and x31 = d - x11 - x21, and x23 = a - t,
+    x32 = b - t, x33 = c + t with a = d - x21, b = d - x12 and
+    c = x11 + x12 + x21 - d.  The doubly stochastic t form the interval
+    [max(0, -c), min(a, b)]; a zero cell on x22, x23, x32 or x33 pins t,
+    one on another cell keeps or drops the whole triple.  In integer units
+    d^2 ||A||^2 = K + 2 (c - a - b) t + 4 t^2 and each diagonal sum is
+    alpha + beta t, so saturation at a diagonal is an integer quadratic in
+    t.  Its integer roots inside the interval are the only candidates;
+    each is re-checked exactly against the maximal diagonal.
+    """
+    x11s = np.asarray(x11s, dtype=np.int64)
     r = np.arange(d + 1, dtype=np.int64)
-    x12 = r[:, None, None]
-    x21 = r[None, :, None]
-    x22 = r[None, None, :]
+    s, x12, x21 = np.nonzero((x11s[:, None, None] + r[None, :, None] <= d)
+                             & (x11s[:, None, None] + r[None, None, :] <= d))
+    x11 = x11s[s]
     x13 = d - x11 - x12
-    x23 = d - x21 - x22
     x31 = d - x11 - x21
-    x32 = d - x12 - x22
-    x33 = x11 + x12 + x21 + x22 - d
-    ok = (x13 >= 0) & (x23 >= 0) & (x31 >= 0) & (x32 >= 0) & (x33 >= 0)
-    if zero_cell is not None and zero_cell != (0, 0):
-        cell = {(0, 1): x12, (0, 2): x13, (1, 0): x21, (1, 1): x22,
-                (1, 2): x23, (2, 0): x31, (2, 1): x32, (2, 2): x33}[zero_cell]
-        ok &= (cell == 0)
-    ds_count = int(ok.sum())
+    a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
+    lo = np.maximum(0, -c)
+    hi = np.minimum(a, b)
+    if zero_cell is not None:
+        pins = {(1, 1): 0, (1, 2): a, (2, 1): b, (2, 2): -c}
+        if zero_cell in pins:
+            lo = np.maximum(lo, pins[zero_cell])
+            hi = np.minimum(hi, pins[zero_cell])
+        else:
+            cell = {(0, 0): x11, (0, 1): x12, (0, 2): x13, (1, 0): x21,
+                    (2, 0): x31}[zero_cell]
+            hi = np.where(cell == 0, hi, -1)
+    ds_count = int(np.maximum(hi - lo + 1, 0).sum())
     if ds_count == 0:
         return 0, []
-    frob = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x22 * x22
+    k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
+         + a * a + b * b + c * c)
+    # diagonals x11 x22 x33, x11 x23 x32, x12 x21 x33, x12 x23 x31,
+    # x13 x21 x32, x13 x22 x31 as alpha + beta t
+    diagonals = ((x11 + c, 2), (x11 + a + b, -2), (x12 + x21 + c, 1),
+                 (x12 + x31 + a, -1), (x13 + x21 + b, -1), (x13 + x31, 1))
+    linear = 2 * (c - a - b)
+    rows, roots = [], []
+    for alpha, beta in diagonals:
+        # 4 t^2 + q t + (k - d alpha) = 0
+        q = linear - d * beta
+        disc = q * q - 16 * (k - d * alpha)
+        # disc < 2^53, so the float root of a perfect square is exact
+        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+        idx = np.flatnonzero(root * root == disc)
+        root, q = root[idx], q[idx]
+        for num in (root - q, -root - q):
+            t = num // 8
+            hit = (num % 8 == 0) & (lo[idx] <= t) & (t <= hi[idx])
+            rows.append(idx[hit])
+            roots.append(t[hit])
+    rows = np.concatenate(rows)
+    t = np.concatenate(roots)
+    x11, x12, x13 = x11[rows], x12[rows], x13[rows]
+    x21, x31 = x21[rows], x31[rows]
+    x23, x32, x33 = a[rows] - t, b[rows] - t, c[rows] + t
+    frob = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + t * t
             + x23 * x23 + x31 * x31 + x32 * x32 + x33 * x33)
     best = np.maximum.reduce([
-        x11 + x22 + x33, x11 + x23 + x32, x12 + x21 + x33,
-        x12 + x23 + x31, x13 + x21 + x32, x13 + x22 + x31,
+        x11 + t + x33, x11 + x23 + x32, x12 + x21 + x33,
+        x12 + x23 + x31, x13 + x21 + x32, x13 + t + x31,
     ])
-    sat = ok & (frob == d * best)
-    cells = [(x11, int(i), int(j), int(k)) for i, j, k in np.argwhere(sat)]
-    return ds_count, cells
+    sat = frob == d * best
+    cells = np.stack([x11[sat], x12[sat], x21[sat], t[sat]], axis=1)
+    return ds_count, [tuple(cell) for cell in cells.tolist()]
 
 
 def enumerate_grid(denominator, zero_cell=None, threads=None):
@@ -139,8 +191,12 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     (1/denominator) * Z; classifies every saturating one.
 
     zero_cell, if given as (i, j), restricts the census to matrices whose
-    (i, j) entry is 0.  threads parallelizes the numpy slices (the report
-    is identical for every thread count).
+    (i, j) entry is 0.  threads parallelizes over blocks of x11 slices (the
+    report is identical for every thread count).
+
+    total_candidates is the size (d+1)^4 of the grid the census covers,
+    not the number of points scanned: the kernel solves for the saturating
+    points of each (x11, x12, x21) triple instead of visiting every x22.
     """
     d = int(denominator)
     if d < 1:
@@ -153,22 +209,25 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
             raise DomainError(f"zero_cell out of range: {zero_cell}")
     if threads is None:
         threads = os.cpu_count() or 1
-    slices = range(d + 1)
+    blocks = [range(lo, min(lo + _SLICES_PER_BLOCK, d + 1))
+              for lo in range(0, d + 1, _SLICES_PER_BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            passes = list(pool.map(lambda x: _grid_pass(d, x, zero_cell), slices))
+            passes = list(pool.map(lambda b: _census_block(d, b, zero_cell),
+                                   blocks))
     else:
-        passes = [_grid_pass(d, x, zero_cell) for x in slices]
+        passes = [_census_block(d, b, zero_cell) for b in blocks]
     ds_count = sum(c for c, _ in passes)
+    # a point can be a root at more than one diagonal
+    cells = sorted({cell for _, found in passes for cell in found})
     saturating = []
-    for _, cells in passes:
-        for x11, x12, x21, x22 in cells:
-            rows = [[Fraction(x11, d), Fraction(x12, d), Fraction(d - x11 - x12, d)],
-                    [Fraction(x21, d), Fraction(x22, d), Fraction(d - x21 - x22, d)],
-                    [Fraction(d - x11 - x21, d), Fraction(d - x12 - x22, d),
-                     Fraction(x11 + x12 + x21 + x22 - d, d)]]
-            m = DoublyStochastic(rows)
-            saturating.append((m, classify3(m)))
+    for x11, x12, x21, x22 in cells:
+        rows = [[Fraction(x11, d), Fraction(x12, d), Fraction(d - x11 - x12, d)],
+                [Fraction(x21, d), Fraction(x22, d), Fraction(d - x21 - x22, d)],
+                [Fraction(d - x11 - x21, d), Fraction(d - x12 - x22, d),
+                 Fraction(x11 + x12 + x21 + x22 - d, d)]]
+        m = DoublyStochastic(rows)
+        saturating.append((m, classify3(m)))
     return EnumerationReport(d, (d + 1) ** 4, ds_count, tuple(saturating))
 
 

@@ -1,5 +1,6 @@
 """CLI surface: golden outputs, exit codes, file and stdin handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,40 @@ def test_ds_threads_env_does_not_change_bytes(capsys, monkeypatch):
     monkeypatch.setenv("DS_THREADS", "2")
     _, multi, _ = run(capsys, "enumerate", "--denominator", "5")
     assert single == multi
+
+
+# sha256 of the stdout of `ds --threads 1 enumerate --denominator 60`, with
+# no zero cell and with --zero-cell 2,1, as the full-grid sweep printed it
+CENSUS_60_SHA256 = {
+    None: "17cf44aab143eea3ba9cb895bf279122e77f255242246176705d232e2f1a4844",
+    "2,1": "ab746b78d049c415850593755e0924f83e276975aa6009b47b663b2fed6cb99d",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("zero_cell", [None, "2,1"])
+def test_enumerate_d60_bytes_golden(capsys, threads, zero_cell):
+    argv = ["--threads", threads, "enumerate", "--denominator", "60"]
+    if zero_cell:
+        argv += ["--zero-cell", zero_cell]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_60_SHA256[zero_cell]
+
+
+@pytest.mark.parametrize("zero_cell", ["5", "a,b"])
+def test_enumerate_bad_zero_cell_exits_2(capsys, zero_cell):
+    code, out, err = run(capsys, "enumerate", "--denominator", "2",
+                         "--zero-cell", zero_cell)
+    assert code == 2 and out == ""
+    assert err.startswith("ds: ") and err.count("\n") == 1
+
+
+def test_enumerate_bad_ds_threads_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("DS_THREADS", "abc")
+    code, out, err = run(capsys, "enumerate", "--denominator", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("ds: ") and err.count("\n") == 1
 
 
 def test_products_deterministic(capsys):

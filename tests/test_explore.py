@@ -1,6 +1,7 @@
 """Census, block-J products, float probing, and the symmetry scan."""
 
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from dstoch import (
     BlockSpec,
     DenominatorTooLarge,
+    DoublyStochastic,
+    EnumerationReport,
     Permutation,
     SplitMix64,
     all_permutations,
     block_product_probe,
     canonical,
     check_asymmetry,
+    classify3,
     direct_sum,
     enumerate_grid,
     frobenius_sq,
@@ -28,6 +32,7 @@ from dstoch import (
     snap_rational,
     validate_ds,
 )
+from dstoch.explore import DENOMINATOR_CAP
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -86,7 +91,77 @@ def test_enumerate_threads_do_not_change_output():
 
 def test_enumerate_cap():
     with pytest.raises(DenominatorTooLarge):
-        enumerate_grid(61)
+        enumerate_grid(DENOMINATOR_CAP + 1)
+
+
+ZERO_CELLS = [None] + [(i, j) for i in range(3) for j in range(3)]
+
+
+def _reference_census(d, zero_cell):
+    """The census as a plain sweep of the whole (d+1)^4 grid, one x11 slice
+    at a time: every doubly stochastic point is tested for saturation."""
+    ds_count, cells = 0, []
+    r = np.arange(d + 1, dtype=np.int64)
+    x12 = r[:, None, None]
+    x21 = r[None, :, None]
+    x22 = r[None, None, :]
+    for x11 in range(d + 1):
+        x13 = d - x11 - x12
+        x23 = d - x21 - x22
+        x31 = d - x11 - x21
+        x32 = d - x12 - x22
+        x33 = x11 + x12 + x21 + x22 - d
+        ok = (x13 >= 0) & (x23 >= 0) & (x31 >= 0) & (x32 >= 0) & (x33 >= 0)
+        if zero_cell is not None:
+            cell = [[x11, x12, x13], [x21, x22, x23],
+                    [x31, x32, x33]][zero_cell[0]][zero_cell[1]]
+            ok &= (cell == 0)
+        ds_count += int(ok.sum())
+        frob = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x22 * x22
+                + x23 * x23 + x31 * x31 + x32 * x32 + x33 * x33)
+        best = np.maximum.reduce([
+            x11 + x22 + x33, x11 + x23 + x32, x12 + x21 + x33,
+            x12 + x23 + x31, x13 + x21 + x32, x13 + x22 + x31,
+        ])
+        sat = ok & (frob == d * best)
+        cells += [(x11, int(i), int(j), int(k)) for i, j, k in np.argwhere(sat)]
+    saturating = []
+    for x11, x12, x21, x22 in cells:
+        m = DoublyStochastic([
+            [F(x11, d), F(x12, d), F(d - x11 - x12, d)],
+            [F(x21, d), F(x22, d), F(d - x21 - x22, d)],
+            [F(d - x11 - x21, d), F(d - x12 - x22, d),
+             F(x11 + x12 + x21 + x22 - d, d)]])
+        saturating.append((m, classify3(m)))
+    return EnumerationReport(d, (d + 1) ** 4, ds_count, tuple(saturating))
+
+
+@pytest.mark.parametrize("zero_cell", ZERO_CELLS)
+def test_enumerate_matches_full_grid_sweep(zero_cell):
+    for d in range(1, 13):
+        expected = _reference_census(d, zero_cell)
+        for threads in (1, 2):
+            assert enumerate_grid(d, zero_cell=zero_cell,
+                                  threads=threads) == expected, (d, threads)
+
+
+def test_enumerate_ds_count_matches_macmahon():
+    # MacMahon: the 3 x 3 nonnegative integer matrices with every row and
+    # column summing to d number C(d+4,4) + C(d+3,4) + C(d+2,4)
+    for d in (1, 2, 3, 5, 7, 11, 16, 29, 47, 60):
+        expected = comb(d + 4, 4) + comb(d + 3, 4) + comb(d + 2, 4)
+        assert enumerate_grid(d, threads=1).ds_count == expected
+    assert comb(64, 4) + comb(63, 4) + comb(62, 4) == 1_788_886
+
+
+def test_enumerate_d120_is_the_orbit_union():
+    # every orbit entry has a denominator dividing 60, so the 1/120 grid
+    # holds all 49 orbit members and must find nothing else
+    report = enumerate_grid(120)
+    assert report.ds_count == 27_243_271
+    found = {m for m, _ in report.saturating}
+    assert len(report.saturating) == 49
+    assert found == _orbit_union()
 
 
 # ── block-J products ──────────────────────────────────────────────────────
