@@ -15,14 +15,11 @@ from .ratmat import (
     ParseError,
     Permutation,
     RatMatrix,
-    Rational,
     RowSumMismatch,
     SplitMix64,
     all_permutations,
     block_j_form,
     direct_sum,
-    format_rational,
-    identity_matrix,
     make_jn,
     make_tn,
     parse_matrix,
@@ -47,10 +44,8 @@ from .diagsum import (
 )
 from .saturation import (
     CANONICAL_TAGS,
-    CanonicalForm,
     Classification,
     canonical,
-    canonical_forms,
     classify2,
     classify3,
     permutation_equivalent,

@@ -180,10 +180,13 @@ def cmd_probe(args):
 
 def cmd_canonical(args):
     name = args.name
-    if name.startswith("Tn:"):
-        m = make_tn(int(name[3:]))
-    elif name.startswith("Jn:"):
-        m = make_jn(int(name[3:]))
+    if name[:3] in ("Tn:", "Jn:"):
+        try:
+            n = int(name[3:])
+        except ValueError:
+            raise ParseError(f"{name[:3]} needs an integer order, "
+                             f"got {name[3:]!r}") from None
+        m = make_tn(n) if name[0] == "T" else make_jn(n)
     else:
         tag = {"I1J2": "I1_J2"}.get(name, name)
         m = saturation.canonical(tag)

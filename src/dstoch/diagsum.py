@@ -6,7 +6,8 @@ in exact rational arithmetic:
 
   * the Frobenius norm squared, sum of all squared entries;
   * diagonal sums and the maximal trace max_tr(A) = max_s sum_i A[i,s(i)],
-    by factorial brute force (small n) and by an assignment solver;
+    by an assignment solver on the integer numerators over the common
+    denominator (factorial brute force is kept as its independent oracle);
   * the maximal diagonal product;
   * the permanent (Ryser inclusion-exclusion with Gray-code updates);
   * the Marcus-Ree gap max_tr(A) - ||A||_F^2, which is >= 0 for every
@@ -46,10 +47,8 @@ class GapReport:
 
 def _scaled(a):
     """Integer numerators of a over the lcm denominator: (grid, den)."""
-    den = 1
-    for x in a.entries():
-        den = lcm(den, x.denominator)
-    grid = [[int(x * den) for x in row] for row in a.rows]
+    den = lcm(*(x.denominator for x in a.entries()))
+    grid = [[x.numerator * (den // x.denominator) for x in row] for row in a.rows]
     return grid, den
 
 
@@ -110,8 +109,10 @@ def max_diag_product(a, cap=BRUTE_CAP):
 # ── assignment solver ─────────────────────────────────────────────────────
 #
 # Shortest-augmenting-path Hungarian method with potentials, run on the
-# negated matrix.  It is generic over the entry type (Fraction or float):
-# only +, -, and < are used, never division, so rational inputs stay exact.
+# negated matrix.  It is generic over the entry type: exact matrices reach it
+# as Python ints (numerators over the common denominator, see `_scaled`) and
+# the float tier as floats.  Only +, -, and < are used, never division, so
+# integer inputs stay exact.
 
 def _assignment_min(cost):
     """Solve min-cost perfect assignment for a square cost matrix.
@@ -208,22 +209,22 @@ def max_trace_assignment(a):
     """Maximal trace via the exact assignment solver.
 
     Same contract as max_trace_brute (value and lex-smallest argmax), but
-    polynomial: one Hungarian solve gives optimal potentials, and every
-    optimal permutation lives on the potential-tight edges, so the lex
-    smallest one is found by greedy matching on that subgraph.
+    polynomial: one Hungarian solve on the integer grid of `_scaled` gives
+    optimal potentials, and every optimal permutation lives on the
+    potential-tight edges, so the lex smallest one is found by greedy
+    matching on that subgraph.
     """
     n = a.n
-    rows = a.rows
-    neg = [[-x for x in row] for row in rows]
-    _, u, v = _assignment_min(neg)
-    # a[i][j] <= -u[i+1] - v[j+1] everywhere, equality == optimal support
+    grid, den = _scaled(a)
+    _, u, v = _assignment_min([[-x for x in row] for row in grid])
+    # grid[i][j] <= -u[i+1] - v[j+1] everywhere, equality == optimal support
     tight = [
-        [j for j in range(n) if rows[i][j] + u[i + 1] + v[j + 1] == 0]
+        [j for j in range(n) if grid[i][j] + u[i + 1] + v[j + 1] == 0]
         for i in range(n)
     ]
     image = _lex_min_matching(tight)
-    value = sum(rows[i][image[i]] for i in range(n))
-    return TraceReport(Fraction(value), Permutation(image), "assignment")
+    total = sum(grid[i][image[i]] for i in range(n))
+    return TraceReport(Fraction(total, den), Permutation(image), "assignment")
 
 
 def max_trace_value(rows):
@@ -294,13 +295,10 @@ def permanent_naive(a, cap=8):
 def marcus_ree_gap(a):
     """GapReport for a matrix: frob_sq, max_trace, gap, saturated.
 
-    Uses brute force up to order 6 and the assignment solver beyond; both
-    are exact, so `saturated` is a genuine equality decision.
+    The maximal trace comes from the integer assignment solver at every
+    order; it is exact, so `saturated` is a genuine equality decision.
     """
     frob = frobenius_sq(a)
-    if a.n <= 6:
-        trace = max_trace_brute(a).max_value
-    else:
-        trace = max_trace_assignment(a).max_value
+    trace = max_trace_assignment(a).max_value
     gap = trace - frob
     return GapReport(frob, trace, gap, gap == 0)

@@ -27,7 +27,8 @@ Four harnesses:
     rational matrix is exactly doubly stochastic with gap exactly 0.
 
   * check_asymmetry: is a matrix permutation-equivalent to NO symmetric
-    matrix?  Exhaustive exact scan over (P, Q) pairs.
+    matrix?  P A Q is symmetric exactly when A (Q P) is, so an exhaustive
+    exact scan over single column permutations R of A decides it.
 
 All seeded operations use SplitMix64 and are bit-reproducible for a given
 seed, independent of thread count.
@@ -415,17 +416,18 @@ def rationality_probe(n, samples, seed, tol=1e-9):
 def check_asymmetry(a, cap=6):
     """True iff NO pair of permutations P, Q makes P a Q symmetric.
 
-    Exhaustive exact scan: factorial-squared in n, refused above cap.
+    P a Q = (P a Q)^T is equivalent to a R = (a R)^T for R = Q P (multiply
+    by P^T on the left and P on the right), and R = Q with P = I gives the
+    converse, so it suffices to scan the single permutations R.
+    Exhaustive exact scan: factorial in n, refused above cap.
     """
     n = a.n
     if n > cap:
         raise OrderTooLarge(n, cap, "symmetry scan")
     rows = a.rows
-    for p in itertools.permutations(range(n)):
-        m = [rows[i] for i in p]
-        for c in itertools.permutations(range(n)):
-            # c is the inverse column permutation; entry (i,j) is m[i][c[j]]
-            if all(m[i][c[j]] == m[j][c[i]]
-                   for i in range(n) for j in range(i + 1, n)):
-                return False
+    for c in itertools.permutations(range(n)):
+        # entry (i, j) of a R is rows[i][c[j]]
+        if all(rows[i][c[j]] == rows[j][c[i]]
+               for i in range(n) for j in range(i + 1, n)):
+            return False
     return True

@@ -55,8 +55,6 @@ class ParseError(ValueError):
 
 # ── rational scalars ──────────────────────────────────────────────────────
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -69,17 +67,14 @@ def parse_rational(text):
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not an exact rational: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
-def format_rational(x):
-    """Canonical "p/q" (or plain integer) string for a Fraction."""
-    return str(Fraction(x))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"rational too long: {len(text)} characters") from None
+    if den == 0:
+        raise ParseError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 # ── deterministic randomness ──────────────────────────────────────────────
@@ -315,10 +310,6 @@ def make_tn(n):
     return DoublyStochastic(rows, _validated=True)
 
 
-def identity_matrix(n):
-    return perm_matrix(Permutation.identity(n))
-
-
 def perm_matrix(p):
     """The 0/1 matrix with entry (i, p(i)) = 1."""
     n = len(p)
@@ -416,11 +407,15 @@ def _parse_matrix_json(text):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError:  # a number with more digits than the interpreter converts
+        raise ParseError("bad JSON: number too long") from None
     if not isinstance(payload, dict) or "rows" not in payload:
         raise ParseError('JSON matrix needs a "rows" field')
     rows = payload["rows"]
+    if not isinstance(rows, list) or not rows:
+        raise ParseError('"rows" must be a non-empty list of rows')
     n = payload.get("n", len(rows))
-    if not isinstance(rows, list) or len(rows) != n:
+    if len(rows) != n:
         raise ParseError(f'"rows" must hold {n} rows, got {len(rows)}')
     out = []
     for i, row in enumerate(rows):
@@ -437,17 +432,19 @@ def _parse_matrix_json(text):
 
 
 def _parse_matrix_csv(text):
-    lines = [line for line in text.splitlines() if line.strip()]
+    # (file line number, text) of every non-blank line
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise ParseError("empty matrix text")
     out = []
-    for i, line in enumerate(lines):
+    for k, line in lines:
         parsed = []
         for j, cell in enumerate(line.split(",")):
             try:
                 parsed.append(parse_rational(cell))
             except ParseError as exc:
-                raise ParseError(str(exc), i + 1, j + 1) from None
+                raise ParseError(str(exc), k, j + 1) from None
         out.append(parsed)
     if any(len(row) != len(out) for row in out):
         raise ParseError(

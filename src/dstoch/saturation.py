@@ -13,17 +13,22 @@ of six canonical representatives:
   T        zero diagonal, 1/2 elsewhere
   R        [[3/5,0,2/5],[0,3/5,2/5],[2/5,2/5,1/5]]
 
-The classifier here decides membership by exact permutation equivalence
-against that list and returns witnesses; the independent route (gap == 0
-through `diagsum`, and the weak-form construction in `weakform`) is used
-by the tests as a cross-check, never by the classifier itself.
+The six forms have pairwise distinct entry multisets, and a (P, Q) orbit
+keeps the multiset, so the sorted entries of a matrix name the only form
+it can belong to.  The classifier looks that form up and decides
+membership by one exact permutation-equivalence scan, which also yields
+the witness; the independent route (gap == 0 through `diagsum`, and the
+weak-form construction in `weakform`) is used by the tests as a
+cross-check, never by the classifier itself.  Non-saturating matrices get
+the lex-smallest maximal diagonal from the assignment solver.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratmat import DomainError, DoublyStochastic, OrderTooLarge, Permutation
+from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge, Permutation,
+                     validate_ds)
 from . import diagsum
 
 _F = Fraction
@@ -47,12 +52,6 @@ _CANONICAL_ROWS = {
 
 
 @dataclass(frozen=True)
-class CanonicalForm:
-    tag: str
-    matrix: DoublyStochastic
-
-
-@dataclass(frozen=True)
 class Classification:
     """Outcome of the order-3 saturation decision.
 
@@ -70,6 +69,9 @@ class Classification:
 
 _CANONICALS = {tag: DoublyStochastic(rows) for tag, rows in _CANONICAL_ROWS.items()}
 
+# sorted entries -> the one tag whose orbit can hold a matrix with them
+_TAG_BY_ENTRIES = {tuple(sorted(m.entries())): tag for tag, m in _CANONICALS.items()}
+
 
 def canonical(tag):
     """The exact canonical representative for a tag in CANONICAL_TAGS."""
@@ -77,10 +79,6 @@ def canonical(tag):
         raise DomainError(f"unknown canonical form {tag!r}; "
                           f"expected one of {CANONICAL_TAGS}")
     return _CANONICALS[tag]
-
-
-def canonical_forms():
-    return tuple(CanonicalForm(tag, canonical(tag)) for tag in CANONICAL_TAGS)
 
 
 def permutation_equivalent(a, b, cap=8):
@@ -117,10 +115,13 @@ def permutation_equivalent(a, b, cap=8):
 
 
 def classify2(a):
-    """Order-2 saturation: true iff a[0,0] is 0, 1/2, or 1."""
+    """Order-2 saturation: true iff a[0,0] is 0, 1/2, or 1.
+
+    Input that is not doubly stochastic is refused (validate_ds raises).
+    """
     if a.n != 2:
         raise DomainError(f"classify2 needs order 2, got {a.n}")
-    return a.rows[0][0] in (0, _F(1, 2), 1)
+    return validate_ds(a).rows[0][0] in (0, _F(1, 2), 1)
 
 
 def classify3(a):
@@ -128,13 +129,17 @@ def classify3(a):
 
     Saturating inputs get the canonical form tag plus permutation
     witnesses; everything else gets a separating permutation whose
-    diagonal sum strictly exceeds the Frobenius norm squared.
+    diagonal sum strictly exceeds the Frobenius norm squared.  Input that
+    is not doubly stochastic is refused (validate_ds raises), since the
+    separator certifies nothing there.
     """
     if a.n != 3:
         raise DomainError(f"classify3 needs order 3, got {a.n}")
-    for tag in CANONICAL_TAGS:
-        witness = permutation_equivalent(a, canonical(tag))
+    a = validate_ds(a)
+    tag = _TAG_BY_ENTRIES.get(tuple(sorted(a.entries())))
+    if tag is not None:
+        witness = permutation_equivalent(a, _CANONICALS[tag])
         if witness is not None:
             return Classification(True, form=tag, witness=witness)
-    separator = diagsum.max_trace_brute(a).argmax
+    separator = diagsum.max_trace_assignment(a).argmax
     return Classification(False, separator=separator)

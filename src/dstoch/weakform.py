@@ -311,6 +311,18 @@ def weak_residual(u, v, w):
     return 4 * w * w + (2 * v - 1) * w + (3 * u * u + 5 * v * v - 2 * v - 3) / 8
 
 
+def _order3_rows(a):
+    """(rows, den, exact): the integer numerators of an order-3 RatMatrix
+    over their common denominator den, or the float rows of a 3 x 3 array
+    with den = 1."""
+    exact = isinstance(a, RatMatrix)
+    rows, den = (diagsum._scaled(a) if exact
+                 else ([[float(x) for x in row] for row in a], 1))
+    if len(rows) != 3:
+        raise DomainError(f"need order 3, got {len(rows)}")
+    return rows, den, exact
+
+
 def weak_saturation_check(a, tol=1e-12):
     """A permutation whose diagonal sum equals the Frobenius norm squared,
     or None.
@@ -319,21 +331,12 @@ def weak_saturation_check(a, tol=1e-12):
     by the irrational branch of params_to_matrix) is compared to within
     tol.  The returned permutation is the lex-smallest match.
     """
-    if isinstance(a, RatMatrix):
-        if a.n != 3:
-            raise DomainError(f"need order 3, got {a.n}")
-        frob = diagsum.frobenius_sq(a)
-        for p in all_permutations(3):
-            if diagsum.diagonal_sum(a, p) == frob:
-                return p
-        return None
-    rows = [[float(x) for x in row] for row in a]
-    if len(rows) != 3:
-        raise DomainError(f"need order 3, got {len(rows)}")
+    rows, den, exact = _order3_rows(a)
+    # scaled by den^2: ||a||^2 -> frob, a diagonal sum s -> den * s
     frob = sum(x * x for row in rows for x in row)
     for p in all_permutations(3):
-        s = sum(rows[i][p(i)] for i in range(3))
-        if abs(s - frob) < tol:
+        diff = den * sum(rows[i][p(i)] for i in range(3)) - frob
+        if (diff == 0 if exact else abs(diff) < tol):
             return p
     return None
 
@@ -342,15 +345,8 @@ def trace_dominant(a, tol=1e-12):
     """Does the plain trace attain the maximal trace?  Decided by comparing
     tr(a) against the five non-identity diagonal sums, exactly for exact
     matrices and to within tol for float ones."""
-    if isinstance(a, RatMatrix):
-        if a.n != 3:
-            raise DomainError(f"need order 3, got {a.n}")
-        tr = a.trace()
-        return all(diagsum.diagonal_sum(a, p) <= tr
-                   for p in all_permutations(3) if p.image != (0, 1, 2))
-    rows = [[float(x) for x in row] for row in a]
-    if len(rows) != 3:
-        raise DomainError(f"need order 3, got {len(rows)}")
+    rows, _, exact = _order3_rows(a)
     tr = rows[0][0] + rows[1][1] + rows[2][2]
-    return all(sum(rows[i][p(i)] for i in range(3)) <= tr + tol
+    bound = tr if exact else tr + tol
+    return all(sum(rows[i][p(i)] for i in range(3)) <= bound
                for p in all_permutations(3) if p.image != (0, 1, 2))

@@ -242,3 +242,26 @@ def test_stdin_matrix(capsys, monkeypatch):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "gap", "/no/such/file.json")
     assert code == 2 and err
+
+
+_LONG = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("argv, text, where", [
+    (["check"], '{"rows": 5}', ""),
+    (["gap"], '{"n":0,"rows":[]}', ""),
+    (["canonical", "--name", "Tn:abc"], None, ""),
+    (["check"], f"{_LONG},0\n0,1\n", "line 1, column 1"),
+    (["check"], f'{{"rows":[[{_LONG}]]}}', ""),
+    (["check"], "1,0\n\n\n0,x\n", "line 4, column 2"),
+], ids=["rows-not-list", "empty", "tn-not-int", "csv-long-entry",
+        "json-long-number", "csv-blank-lines"])
+def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
+    if text is not None:
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("ds: parse error: ") and err.count("\n") == 1
+    assert where in err

@@ -1,5 +1,6 @@
 """Census, block-J products, float probing, and the symmetry scan."""
 
+import itertools
 from fractions import Fraction as F
 from math import comb
 
@@ -12,6 +13,7 @@ from dstoch import (
     DoublyStochastic,
     EnumerationReport,
     Permutation,
+    RatMatrix,
     SplitMix64,
     all_permutations,
     block_product_probe,
@@ -24,6 +26,7 @@ from dstoch import (
     make_jn,
     marcus_ree_gap,
     perm_matrix,
+    random_ds,
     rationality_probe,
     reconstruct_matrix,
     round_to_ds,
@@ -269,3 +272,32 @@ def test_check_asymmetry():
     assert check_asymmetry(d_matrix)
     assert not check_asymmetry(canonical("S"))
     assert not check_asymmetry(canonical("T"))
+
+
+def _reference_asymmetry(a):
+    """The (P, Q) double scan: True iff no P a Q is symmetric."""
+    n, rows = a.n, a.rows
+    for p in itertools.permutations(range(n)):
+        m = [rows[i] for i in p]
+        for c in itertools.permutations(range(n)):
+            if all(m[i][c[j]] == m[j][c[i]]
+                   for i in range(n) for j in range(i + 1, n)):
+                return False
+    return True
+
+
+def test_check_asymmetry_matches_double_scan():
+    rng = SplitMix64(406)
+    inputs = []
+    for n in range(1, 6):
+        for _ in range(10):
+            a = random_ds(n, rng.randint(1, 2 * n), seed=rng.next64())
+            # (a + a^T) / 2 is symmetric and doubly stochastic; P and Q hide it
+            sym = validate_ds(RatMatrix([[(x + y) / 2 for x, y in zip(r, c)]
+                                         for r, c in zip(a.rows, a.transpose().rows)]))
+            p = perm_matrix(Permutation.random(n, rng))
+            q = perm_matrix(Permutation.random(n, rng))
+            inputs += [a, validate_ds(p @ sym @ q)]
+    verdicts = [check_asymmetry(a) for a in inputs]
+    assert verdicts == [_reference_asymmetry(a) for a in inputs]
+    assert any(verdicts) and not all(verdicts)

@@ -1,11 +1,13 @@
 """The order-3 saturation classifier and permutation equivalence."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from dstoch import (
     CANONICAL_TAGS,
+    Classification,
     DomainError,
     Permutation,
     RatMatrix,
@@ -142,3 +144,45 @@ def test_classification_is_permutation_invariant():
         ca, cb = classify3(a), classify3(b)
         assert ca.saturated == cb.saturated
         assert ca.form == cb.form
+
+
+def test_classify_refuses_non_doubly_stochastic_input():
+    # 2 I3 has diagonal sum 6 < 12 = frob_sq: a separator would be false
+    with pytest.raises(DomainError):
+        classify3(RatMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    with pytest.raises(DomainError):
+        classify2(RatMatrix([[0, 5], [7, 0]]))
+
+
+# ── reference: the six-tag scan with a brute-force separator ─────────────
+
+def _reference_classify3(a):
+    for tag in CANONICAL_TAGS:
+        witness = permutation_equivalent(a, canonical(tag))
+        if witness is not None:
+            return Classification(True, form=tag, witness=witness)
+    return Classification(False, separator=max_trace_brute(a).argmax)
+
+
+def _grid_points(d):
+    """Every doubly stochastic 3 x 3 matrix with entries in (1/d) Z."""
+    for x11, x12, x21, x22 in itertools.product(range(d + 1), repeat=4):
+        cells = [[x11, x12, d - x11 - x12],
+                 [x21, x22, d - x21 - x22],
+                 [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
+        if min(min(row) for row in cells) >= 0:
+            yield validate_ds(RatMatrix([[F(x, d) for x in row] for row in cells]))
+
+
+def test_canonical_entry_multisets_are_pairwise_distinct():
+    keys = {tuple(sorted(canonical(tag).entries())) for tag in CANONICAL_TAGS}
+    assert len(keys) == len(CANONICAL_TAGS)
+
+
+def test_classify3_matches_reference_on_grid_and_orbits():
+    inputs = [m for d in range(1, 9) for m in _grid_points(d)]
+    inputs += [validate_ds(perm_matrix(p) @ canonical(tag) @ perm_matrix(q))
+               for tag in CANONICAL_TAGS
+               for p in all_permutations(3) for q in all_permutations(3)]
+    for m in inputs:
+        assert classify3(m) == _reference_classify3(m)
