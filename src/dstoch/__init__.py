@@ -84,7 +84,6 @@ from .explore import (
     enumerate_grid,
     rationality_probe,
     reconstruct_matrix,
-    round_to_ds,
     search_products,
     sinkhorn,
     snap_rational,

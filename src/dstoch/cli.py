@@ -11,9 +11,11 @@ import json
 import os
 import sys
 
-from .ratmat import (DomainError, ParseError, make_jn, make_tn,
+from .ratmat import (DomainError, OrderTooLarge, ParseError, make_jn, make_tn,
                      parse_rational, read_matrix, validate_ds)
 from . import diagsum, explore, saturation, weakform
+
+CANONICAL_CAP = 512  # largest order of `canonical --name Tn:<n>` / `Jn:<n>`
 
 
 def _emit(payload):
@@ -186,6 +188,8 @@ def cmd_canonical(args):
         except ValueError:
             raise ParseError(f"{name[:3]} needs an integer order, "
                              f"got {name[3:]!r}") from None
+        if n > CANONICAL_CAP:
+            raise OrderTooLarge(n, CANONICAL_CAP, f"canonical {name[:2]}")
         m = make_tn(n) if name[0] == "T" else make_jn(n)
     else:
         tag = {"I1J2": "I1_J2"}.get(name, name)
@@ -289,7 +293,7 @@ def main(argv=None):
     except DomainError as exc:
         print(f"ds: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"ds: {exc}", file=sys.stderr)
         return 2
     return 0

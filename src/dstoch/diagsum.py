@@ -6,8 +6,8 @@ in exact rational arithmetic:
 
   * the Frobenius norm squared, sum of all squared entries;
   * diagonal sums and the maximal trace max_tr(A) = max_s sum_i A[i,s(i)],
-    by an assignment solver on the integer numerators over the common
-    denominator (factorial brute force is kept as its independent oracle);
+    by an assignment solver on the integer grid of `RatMatrix.scaled`
+    (factorial brute force is kept as its independent oracle);
   * the maximal diagonal product;
   * the permanent (Ryser inclusion-exclusion with Gray-code updates);
   * the Marcus-Ree gap max_tr(A) - ||A||_F^2, which is >= 0 for every
@@ -21,12 +21,12 @@ optimum, so outputs are fully deterministic.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .ratmat import DomainError, OrderTooLarge, Permutation
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
+NAIVE_PERMANENT_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,9 @@ class GapReport:
     saturated: bool
 
 
-def _scaled(a):
-    """Integer numerators of a over the lcm denominator: (grid, den)."""
-    den = lcm(*(x.denominator for x in a.entries()))
-    grid = [[x.numerator * (den // x.denominator) for x in row] for row in a.rows]
-    return grid, den
-
-
 def frobenius_sq(a):
     """Sum of squared entries, exactly."""
-    grid, den = _scaled(a)
+    grid, den = a.scaled()
     total = sum(x * x for row in grid for x in row)
     return Fraction(total, den * den)
 
@@ -66,16 +59,16 @@ def diagonal_sum(a, p):
     return sum(a.rows[i][p(i)] for i in range(a.n))
 
 
-def max_trace_brute(a, cap=BRUTE_CAP):
+def max_trace_brute(a):
     """Exact maximum diagonal sum over all n! permutations.
 
     The argmax is the lexicographically smallest maximizer (permutations
     are visited in lex order and replaced only on strict improvement).
     """
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "brute-force maximal trace")
-    grid, den = _scaled(a)
+    if n > BRUTE_CAP:
+        raise OrderTooLarge(n, BRUTE_CAP, "brute-force maximal trace")
+    grid, den = a.scaled()
     best = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
@@ -87,12 +80,12 @@ def max_trace_brute(a, cap=BRUTE_CAP):
     return TraceReport(Fraction(best, den), Permutation(best_perm), "brute")
 
 
-def max_diag_product(a, cap=BRUTE_CAP):
+def max_diag_product(a):
     """Exact maximum diagonal product and its lex-smallest witness."""
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "brute-force maximal diagonal product")
-    grid, den = _scaled(a)
+    if n > BRUTE_CAP:
+        raise OrderTooLarge(n, BRUTE_CAP, "brute-force maximal diagonal product")
+    grid, den = a.scaled()
     best = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
@@ -110,9 +103,9 @@ def max_diag_product(a, cap=BRUTE_CAP):
 #
 # Shortest-augmenting-path Hungarian method with potentials, run on the
 # negated matrix.  It is generic over the entry type: exact matrices reach it
-# as Python ints (numerators over the common denominator, see `_scaled`) and
-# the float tier as floats.  Only +, -, and < are used, never division, so
-# integer inputs stay exact.
+# as Python ints (the numerators over the common denominator that
+# `RatMatrix.scaled` returns) and the float tier as floats.  Only +, -, and <
+# are used, never division, so integer inputs stay exact.
 
 def _assignment_min(cost):
     """Solve min-cost perfect assignment for a square cost matrix.
@@ -209,13 +202,13 @@ def max_trace_assignment(a):
     """Maximal trace via the exact assignment solver.
 
     Same contract as max_trace_brute (value and lex-smallest argmax), but
-    polynomial: one Hungarian solve on the integer grid of `_scaled` gives
+    polynomial: one Hungarian solve on the integer grid of `a.scaled()` gives
     optimal potentials, and every optimal permutation lives on the
     potential-tight edges, so the lex smallest one is found by greedy
     matching on that subgraph.
     """
     n = a.n
-    grid, den = _scaled(a)
+    grid, den = a.scaled()
     _, u, v = _assignment_min([[-x for x in row] for row in grid])
     # grid[i][j] <= -u[i+1] - v[j+1] everywhere, equality == optimal support
     tight = [
@@ -237,7 +230,7 @@ def max_trace_value(rows):
 
 # ── permanent ─────────────────────────────────────────────────────────────
 
-def permanent(a, cap=PERMANENT_CAP):
+def permanent(a):
     """Exact permanent by Ryser's inclusion-exclusion formula,
 
         perm(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i sum_{j in S} a_ij,
@@ -245,9 +238,9 @@ def permanent(a, cap=PERMANENT_CAP):
     with Gray-code subset order so each step updates one column: O(2^n n).
     """
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "permanent")
-    grid, den = _scaled(a)
+    if n > PERMANENT_CAP:
+        raise OrderTooLarge(n, PERMANENT_CAP, "permanent")
+    grid, den = a.scaled()
     cols = list(zip(*grid))
     rowsum = [0] * n
     total = 0
@@ -275,12 +268,12 @@ def permanent(a, cap=PERMANENT_CAP):
     return Fraction(total, den ** n)
 
 
-def permanent_naive(a, cap=8):
+def permanent_naive(a):
     """Defining n!-term sum; the independent oracle for `permanent`."""
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "naive permanent")
-    grid, den = _scaled(a)
+    if n > NAIVE_PERMANENT_CAP:
+        raise OrderTooLarge(n, NAIVE_PERMANENT_CAP, "naive permanent")
+    grid, den = a.scaled()
     total = 0
     for perm in itertools.permutations(range(n)):
         prod = 1

@@ -22,9 +22,11 @@ Four harnesses:
 
   * rationality_probe: floating-point sampling (Sinkhorn-balanced positive
     matrices, permutation mixtures, and jittered known solutions) screened
-    for a near-zero gap, followed by continued-fraction reconstruction and
-    exact re-verification.  A float hit only counts once the reconstructed
-    rational matrix is exactly doubly stochastic with gap exactly 0.
+    for a near-zero gap, followed by exact reconstruction by
+    reconstruct_matrix, the one crossing from floats to exact matrices: it
+    snaps the leading (n-1) x (n-1) block by continued fractions and forces
+    the last row and column from the sums.  A float hit only counts once
+    that matrix has gap exactly 0.
 
   * check_asymmetry: is a matrix permutation-equivalent to NO symmetric
     matrix?  P A Q is symmetric exactly when A (Q P) is, so an exhaustive
@@ -35,6 +37,7 @@ seed, independent of thread count.
 """
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,18 +46,19 @@ from fractions import Fraction
 import numpy as np
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
-                     Permutation, RatMatrix, SplitMix64, block_j_form,
-                     perm_matrix, validate_ds)
+                     Permutation, SplitMix64, block_j_form, perm_matrix,
+                     validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import CANONICAL_TAGS, canonical, classify3
 
 DENOMINATOR_CAP = 240
+ASYMMETRY_CAP = 6
 
 
 class DenominatorTooLarge(DomainError):
-    def __init__(self, d, cap=DENOMINATOR_CAP):
-        self.d, self.cap = d, cap
-        super().__init__(f"grid enumeration supports denominator <= {cap}, got {d}")
+    def __init__(self, d):
+        self.d, self.cap = d, DENOMINATOR_CAP
+        super().__init__(f"grid enumeration supports denominator <= {self.cap}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -312,42 +316,23 @@ def snap_rational(x, max_den=10 ** 6, tol=1e-7):
 
 
 def reconstruct_matrix(x, max_den=10 ** 6, tol=1e-7):
-    """Entrywise continued-fraction reconstruction of a float matrix;
-    None as soon as one entry refuses to snap."""
-    rows = []
-    for row in np.asarray(x, dtype=float):
-        out = []
-        for cell in row:
-            snapped = snap_rational(cell, max_den, tol)
-            if snapped is None:
-                return None
-            out.append(snapped)
-        rows.append(out)
-    return RatMatrix(rows)
-
-
-def round_to_ds(x, max_den=10 ** 6, tol=1e-6):
     """Round a near-balanced float matrix to an exactly doubly stochastic
-    rational one: snap the leading (n-1) x (n-1) block, then force the last
-    column and row from the sum constraints.  None if snapping fails or a
-    forced entry comes out negative."""
+    rational one: snap the leading (n-1) x (n-1) block with snap_rational,
+    then force the last column and row from the sum constraints.  None if
+    an entry refuses to snap or a forced entry comes out negative."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    rows = [[None] * n for _ in range(n)]
+    n = len(x)
+    rows = []
     for i in range(n - 1):
-        for j in range(n - 1):
-            snapped = snap_rational(x[i, j], max_den, tol)
-            if snapped is None:
-                return None
-            rows[i][j] = snapped
-    for i in range(n - 1):
-        rows[i][n - 1] = 1 - sum(rows[i][:n - 1])
-    for j in range(n - 1):
-        rows[n - 1][j] = 1 - sum(rows[i][j] for i in range(n - 1))
-    rows[n - 1][n - 1] = 1 - sum(rows[n - 1][:n - 1])
+        row = [snap_rational(cell, max_den, tol) for cell in x[i, :n - 1]]
+        if None in row:
+            return None
+        rows.append(row + [1 - sum(row)])
+    last = [1 - sum(row[j] for row in rows) for j in range(n - 1)]
+    rows.append(last + [1 - sum(last)])
     if any(cell < 0 for row in rows for cell in row):
         return None
-    return validate_ds(RatMatrix(rows))
+    return DoublyStochastic(rows)
 
 
 def _probe_sample(n, kind, rng):
@@ -383,10 +368,13 @@ def rationality_probe(n, samples, seed, tol=1e-9):
 
     Every sample gets a float gap (Frobenius norm squared vs maximal
     trace, the latter via the assignment solver on floats).  Samples under
-    tol become candidates: entries are continued-fraction reconstructed
-    and the result is verified exactly (doubly stochastic and gap == 0) or
-    reported as a failed reconstruction.
+    tol (finite and positive) become candidates: reconstruct_matrix turns
+    each into an exactly doubly stochastic matrix, verified when its gap
+    is exactly 0, or reports a failed reconstruction.
     """
+    if n < 1 or samples < 0 or not 0 < tol < math.inf:
+        raise DomainError(f"need n >= 1, samples >= 0 and a finite tol > 0, "
+                          f"got n={n}, samples={samples}, tol={tol}")
     rng = SplitMix64(seed)
     kinds = ("sinkhorn", "mixture", "jitter")
     candidates = []
@@ -397,33 +385,25 @@ def rationality_probe(n, samples, seed, tol=1e-9):
         gap = max_trace_value(x.tolist()) - frob
         if gap >= tol:
             continue
-        reconstructed = reconstruct_matrix(x)
-        verified = False
-        exact = None
-        if reconstructed is not None:
-            try:
-                exact = validate_ds(reconstructed)
-            except DomainError:
-                exact = None
-            if exact is not None:
-                verified = marcus_ree_gap(exact).saturated
+        exact = reconstruct_matrix(x)
+        verified = exact is not None and marcus_ree_gap(exact).saturated
         candidates.append(ProbeCandidate(index, kind, float(gap), exact, verified))
     return ProbeReport(n, samples, seed, tol, tuple(candidates))
 
 
 # ── symmetry under permutation equivalence ────────────────────────────────
 
-def check_asymmetry(a, cap=6):
+def check_asymmetry(a):
     """True iff NO pair of permutations P, Q makes P a Q symmetric.
 
     P a Q = (P a Q)^T is equivalent to a R = (a R)^T for R = Q P (multiply
     by P^T on the left and P on the right), and R = Q with P = I gives the
     converse, so it suffices to scan the single permutations R.
-    Exhaustive exact scan: factorial in n, refused above cap.
+    Exhaustive exact scan: factorial in n, refused above ASYMMETRY_CAP.
     """
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "symmetry scan")
+    if n > ASYMMETRY_CAP:
+        raise OrderTooLarge(n, ASYMMETRY_CAP, "symmetry scan")
     rows = a.rows
     for c in itertools.permutations(range(n)):
         # entry (i, j) of a R is rows[i][c[j]]

@@ -1,9 +1,10 @@
 """Exact rational matrices, permutations, and doubly stochastic constructors.
 
-Everything here runs on `fractions.Fraction`: arithmetic is exact, equality
-is exact, and no rounding ever occurs.  A matrix is doubly stochastic when
-every entry is >= 0 and every row and column sums to exactly 1; that
-equality is the whole point of the library, so it is never approximated.
+Entries are `fractions.Fraction`, so arithmetic and equality are exact.
+`RatMatrix.scaled` is the one crossing to integers: the numerators over
+the common denominator, on which the kernels run.  A matrix is doubly
+stochastic when every entry is >= 0 and every row and column sums to
+exactly 1; validation checks both on that integer grid, exactly.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -11,7 +12,9 @@ threads.
 
 import json
 import re
+import sys
 from fractions import Fraction
+from math import lcm
 
 
 # ── errors ────────────────────────────────────────────────────────────────
@@ -199,7 +202,8 @@ class RatMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                     for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DomainError("matrix must be square")
@@ -245,6 +249,13 @@ class RatMatrix:
         for row in self.rows:
             yield from row
 
+    def scaled(self):
+        """(grid, den): grid[i][j] / den == self[i, j], den the lcm."""
+        den = lcm(*(x.denominator for x in self.entries()))
+        grid = [[x.numerator * (den // x.denominator) for x in row]
+                for row in self.rows]
+        return grid, den
+
     def to_floats(self):
         """Row-major nested lists of float entries (lossy, for plotting)."""
         return [[float(x) for x in row] for row in self.rows]
@@ -265,20 +276,21 @@ class DoublyStochastic(RatMatrix):
 
 
 def _check_ds(m):
-    for i, row in enumerate(m.rows):
+    grid, den = m.scaled()
+    for i, row in enumerate(grid):
         for j, x in enumerate(row):
             if x < 0:
-                raise NegativeEntry(i, j, x)
+                raise NegativeEntry(i, j, m.rows[i][j])
     # Column sums are checked before row sums; with both violated the
     # column report is the contract.
-    for j in range(m.n):
-        s = sum(m.rows[i][j] for i in range(m.n))
-        if s != 1:
-            raise ColSumMismatch(j, s)
-    for i, row in enumerate(m.rows):
+    for j, col in enumerate(zip(*grid)):
+        s = sum(col)
+        if s != den:
+            raise ColSumMismatch(j, Fraction(s, den))
+    for i, row in enumerate(grid):
         s = sum(row)
-        if s != 1:
-            raise RowSumMismatch(i, s)
+        if s != den:
+            raise RowSumMismatch(i, Fraction(s, den))
 
 
 def validate_ds(m):
@@ -396,10 +408,24 @@ def write_matrix(m):
 def parse_matrix(text):
     """Parse matrix text, JSON ({"n":...,"rows":[[...]]}) or CSV lines of
     fraction strings.  Raises ParseError with a 1-based line/column."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_matrix_json(text)
-    return _parse_matrix_csv(text)
+    try:
+        if text.lstrip().startswith("{"):
+            return _parse_matrix_json(text)
+        return _parse_matrix_csv(text)
+    except RecursionError:  # JSON nested deeper than the interpreter follows
+        raise ParseError("matrix text nests too deeply") from None
+
+
+def _parse_row(cells, line):
+    """parse_rational over one row's cells; a bad cell is reported at its
+    1-based (line, column)."""
+    parsed = []
+    for j, cell in enumerate(cells, 1):
+        try:
+            parsed.append(parse_rational(str(cell)))
+        except ParseError as exc:
+            raise ParseError(str(exc), line, j) from None
+    return parsed
 
 
 def _parse_matrix_json(text):
@@ -416,18 +442,12 @@ def _parse_matrix_json(text):
         raise ParseError('"rows" must be a non-empty list of rows')
     n = payload.get("n", len(rows))
     if len(rows) != n:
-        raise ParseError(f'"rows" must hold {n} rows, got {len(rows)}')
+        raise ParseError(f'"rows" must hold {n!r} rows, got {len(rows)}')
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"row {i} must hold {n} entries", i + 1, 1)
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                parsed.append(parse_rational(str(cell)))
-            except ParseError as exc:
-                raise ParseError(str(exc), i + 1, j + 1) from None
-        out.append(parsed)
+        out.append(_parse_row(row, i + 1))
     return RatMatrix(out)
 
 
@@ -437,15 +457,7 @@ def _parse_matrix_csv(text):
              if line.strip()]
     if not lines:
         raise ParseError("empty matrix text")
-    out = []
-    for k, line in lines:
-        parsed = []
-        for j, cell in enumerate(line.split(",")):
-            try:
-                parsed.append(parse_rational(cell))
-            except ParseError as exc:
-                raise ParseError(str(exc), k, j + 1) from None
-        out.append(parsed)
+    out = [_parse_row(line.split(","), k) for k, line in lines]
     if any(len(row) != len(out) for row in out):
         raise ParseError(
             f"need a square matrix, got {len(out)} lines of widths "
@@ -454,11 +466,18 @@ def _parse_matrix_csv(text):
 
 
 def read_matrix(source):
-    """Read a matrix from a path, an open stream, or "-" for stdin."""
-    if hasattr(source, "read"):
-        return parse_matrix(source.read())
-    if source == "-":
-        import sys
-        return parse_matrix(sys.stdin.read())
-    with open(source, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
+    """Read a matrix from a path, an open stream, or "-" for stdin; text
+    that is not UTF-8 or a directory path raises ParseError."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except IsADirectoryError:
+        raise ParseError(f"{source!r} is a directory, not a matrix file") from None
+    return parse_matrix(text)

@@ -35,6 +35,8 @@ _F = Fraction
 
 CANONICAL_TAGS = ("I3", "J3", "I1_J2", "S", "T", "R")
 
+EQUIVALENCE_CAP = 8
+
 _CANONICAL_ROWS = {
     "I3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     "J3": [[_F(1, 3)] * 3] * 3,
@@ -81,18 +83,18 @@ def canonical(tag):
     return _CANONICALS[tag]
 
 
-def permutation_equivalent(a, b, cap=8):
+def permutation_equivalent(a, b):
     """Find (P, Q) with (P a Q) == b exactly, or None.
 
     Scans row permutations in lex order and matches columns by equality,
-    so the witness is deterministic.  Orders above `cap` are refused
-    (the scan is factorial in n).
+    so the witness is deterministic.  Orders above EQUIVALENCE_CAP are
+    refused (the scan is factorial in n).
     """
     if a.n != b.n:
         raise DomainError(f"order mismatch: {a.n} vs {b.n}")
     n = a.n
-    if n > cap:
-        raise OrderTooLarge(n, cap, "permutation equivalence scan")
+    if n > EQUIVALENCE_CAP:
+        raise OrderTooLarge(n, EQUIVALENCE_CAP, "permutation equivalence scan")
     if sorted(a.entries()) != sorted(b.entries()):
         return None
     b_cols = {}

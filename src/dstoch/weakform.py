@@ -45,10 +45,11 @@ import numpy as np
 
 from .ratmat import (DomainError, DoublyStochastic, RatMatrix,
                      all_permutations)
-from . import diagsum
 
 SIGN_MINUS = "minus"
 SIGN_PLUS = "plus"
+
+BOUNDARY_ROW_CAP = 10 ** 6
 
 _F = Fraction
 _HALF = _F(1, 2)
@@ -216,10 +217,15 @@ def boundary_curves(u_min, u_max, step):
     """Sample (u, f(u), g(u), h(u)) on an inclusive float grid.
 
     Entries are None where a curve is undefined.  The u column is
-    monotone increasing.
+    monotone increasing.  Bounds must be finite and the table at most
+    BOUNDARY_ROW_CAP rows long.
     """
+    if not all(map(math.isfinite, (u_min, u_max, step))):
+        raise DomainError(f"bounds and step must be finite, got {u_min}, {u_max}, {step}")
     if step <= 0:
         raise DomainError(f"step must be positive, got {step}")
+    if (u_max - u_min) / step >= BOUNDARY_ROW_CAP:
+        raise DomainError(f"boundary table would exceed {BOUNDARY_ROW_CAP} rows")
     rows = []
     k = 0
     while True:
@@ -270,19 +276,15 @@ def params_to_matrix(q, tol=1e-9):
     else:
         u, v, w = (_q(x) for x in q)
         exact = True
-    if exact:
-        rows = _format_rows(u, v, w)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise NotDoublyStochastic(_ENTRY_NAMES[i][j], x)
-        return DoublyStochastic(rows)
-    rows = _format_rows(float(u), float(v), float(w))
+    if not exact:
+        u, v, w = float(u), float(v), float(w)
+    rows = _format_rows(u, v, w)
+    floor = 0 if exact else -tol
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if x < -tol:
+            if x < floor:
                 raise NotDoublyStochastic(_ENTRY_NAMES[i][j], x)
-    return np.array(rows, dtype=float)
+    return DoublyStochastic(rows) if exact else np.array(rows, dtype=float)
 
 
 def construct_matrix(u, v, sign, tol=1e-9):
@@ -316,7 +318,7 @@ def _order3_rows(a):
     over their common denominator den, or the float rows of a 3 x 3 array
     with den = 1."""
     exact = isinstance(a, RatMatrix)
-    rows, den = (diagsum._scaled(a) if exact
+    rows, den = (a.scaled() if exact
                  else ([[float(x) for x in row] for row in a], 1))
     if len(rows) != 3:
         raise DomainError(f"need order 3, got {len(rows)}")

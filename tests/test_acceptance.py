@@ -42,7 +42,7 @@ from dstoch import (
     permanent_naive,
     permutation_equivalent,
     random_ds,
-    round_to_ds,
+    reconstruct_matrix,
     sinkhorn,
     solve_w,
     validate_ds,
@@ -164,7 +164,7 @@ def _mixed_sample(index, rng):
     n = rng.randint(2, 5)
     if index % 10 == 9:
         raw = [[0.1 + 0.9 * rng.random() for _ in range(n)] for _ in range(n)]
-        m = round_to_ds(sinkhorn(raw))
+        m = reconstruct_matrix(sinkhorn(raw), tol=1e-6)
         if m is not None:
             return m
     return random_ds(n, rng.randint(1, 2 * n), seed=rng.next64())

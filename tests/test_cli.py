@@ -1,11 +1,16 @@
 """CLI surface: golden outputs, exit codes, file and stdin handling."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dstoch import canonical, write_matrix
+from dstoch import (ParseError, RatMatrix, canonical, parse_matrix, random_ds,
+                    write_matrix)
 from dstoch.cli import main
 
 
@@ -245,6 +250,7 @@ def test_missing_file_exits_2(capsys):
 
 
 _LONG = "1" + "0" * 4999
+_DIRECTORY = object()  # the matrix argument names a directory
 
 
 @pytest.mark.parametrize("argv, text, where", [
@@ -254,14 +260,80 @@ _LONG = "1" + "0" * 4999
     (["check"], f"{_LONG},0\n0,1\n", "line 1, column 1"),
     (["check"], f'{{"rows":[[{_LONG}]]}}', ""),
     (["check"], "1,0\n\n\n0,x\n", "line 4, column 2"),
+    (["check"], b"\xff\xfe1,0\n0,1\n", "not UTF-8"),
+    (["gap"], _DIRECTORY, "is a directory"),
+    (["check"], '{"rows":' * 100_000, "nests too deeply"),
 ], ids=["rows-not-list", "empty", "tn-not-int", "csv-long-entry",
-        "json-long-number", "csv-blank-lines"])
+        "json-long-number", "csv-blank-lines", "not-utf8", "directory",
+        "deep-json"])
 def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
-    if text is not None:
+    if text is _DIRECTORY:
+        argv = argv + [str(tmp_path)]
+    elif text is not None:
         path = tmp_path / "m.txt"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         argv = argv + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("ds: parse error: ") and err.count("\n") == 1
     assert where in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--name", "Tn:100000"],
+    ["canonical", "--name", "Jn:20000"],
+    ["boundary", "--step", "nan"],
+    ["boundary", "--max", "inf"],
+    ["boundary", "--step", "1e-9"],
+    ["boundary", "--min", "nan"],
+    ["probe", "--n", "3", "--samples", "3", "--seed", "0", "--tol", "nan"],
+    ["probe", "--n", "3", "--samples", "-1", "--seed", "0"],
+    ["probe", "--n", "-1", "--samples", "3", "--seed", "0"],
+], ids=["tn-order", "jn-order", "step-nan", "max-inf", "step-tiny", "min-nan",
+        "tol-nan", "samples-negative", "n-negative"])
+def test_unbounded_request_is_one_domain_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ds: ") and err.count("\n") == 1
+    assert not err.startswith("ds: parse error")
+
+
+_FRACTIONS = st.fractions(min_value=-1, max_value=2, max_denominator=6).map(str)
+_CELLS = st.one_of(_FRACTIONS, st.text(max_size=4))
+_GRIDS = st.lists(st.lists(_CELLS, min_size=1, max_size=3), min_size=1, max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _CELLS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+_MATRIX_TEXTS = st.one_of(
+    st.text(),
+    st.builds(lambda *args: write_matrix(random_ds(*args)), st.integers(1, 4),
+              st.integers(1, 6), st.integers(0, 2 ** 64 - 1)),
+    _GRIDS.map(lambda rows: "\n".join(",".join(row) for row in rows)),
+    _GRIDS.map(lambda rows: json.dumps({"rows": rows})),
+    st.fixed_dictionaries({"rows": _JSON_VALUES},
+                          optional={"n": _JSON_VALUES}).map(json.dumps),
+)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_MATRIX_TEXTS)
+def test_any_text_parses_or_exits_with_one_line(text):
+    try:
+        parsed = parse_matrix(text)
+    except ParseError:
+        parsed = None
+    else:
+        assert isinstance(parsed, RatMatrix)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "-"])
+    err = err.getvalue()
+    assert code in ((2,) if parsed is None else (0, 1))
+    assert (code == 0) == (err == "")
+    assert err == "" or (err.startswith("ds: ") and err.count("\n") == 1)

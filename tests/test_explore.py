@@ -10,6 +10,7 @@ import pytest
 from dstoch import (
     BlockSpec,
     DenominatorTooLarge,
+    DomainError,
     DoublyStochastic,
     EnumerationReport,
     Permutation,
@@ -29,7 +30,6 @@ from dstoch import (
     random_ds,
     rationality_probe,
     reconstruct_matrix,
-    round_to_ds,
     search_products,
     sinkhorn,
     snap_rational,
@@ -237,10 +237,77 @@ def test_reconstruct_matrix_recovers_r():
 def test_round_to_ds():
     rng = SplitMix64(6)
     x = sinkhorn([[0.2 + rng.random() for _ in range(4)] for _ in range(4)])
-    m = round_to_ds(x)
+    m = reconstruct_matrix(x, tol=1e-6)
     assert m is not None
     assert all(abs(float(m[i, j]) - x[i, j]) < 1e-5 for i in range(4)
                for j in range(4))
+
+
+def _reference_reconstruct(x, max_den=10 ** 6, tol=1e-7):
+    """The entrywise snap: every entry through snap_rational, None as soon
+    as one refuses; the result need not be doubly stochastic."""
+    rows = []
+    for row in np.asarray(x, dtype=float):
+        snapped = [snap_rational(cell, max_den, tol) for cell in row]
+        if None in snapped:
+            return None
+        rows.append(snapped)
+    return RatMatrix(rows)
+
+
+def _near_ds_floats():
+    """Seeded float matrices near the doubly stochastic polytope, n <= 5:
+    canonical forms and rational mixtures, plain and jittered, float
+    permutation mixtures, and Sinkhorn output of random positive matrices."""
+    rng = SplitMix64(0xF10A7)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        if n == 3:
+            base = (perm_matrix(Permutation.random(3, rng))
+                    @ canonical(("I3", "J3", "I1_J2", "S", "T", "R")[rng.below(6)])
+                    @ perm_matrix(Permutation.random(3, rng)))
+        else:
+            base = random_ds(n, rng.randint(1, 2 * n), seed=rng.next64())
+        noise = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+        yield np.array(base.to_floats())
+        yield sinkhorn(np.array(base.to_floats()) + 1e-9 * (noise + 0.1))
+        yield np.array(random_ds(n, rng.randint(1, 4), seed=rng.next64())
+                       .to_floats()) + 3e-8 * (noise - 0.5)
+        weights = [0.05 + rng.random() for _ in range(rng.randint(1, 3))]
+        mixture = np.zeros((n, n))
+        for w in weights:
+            mixture += w * np.array(perm_matrix(Permutation.random(n, rng)).to_floats())
+        yield mixture / sum(weights)
+        yield sinkhorn(0.1 + noise)
+
+
+def test_reconstruct_matrix_matches_entrywise_snap():
+    agreed = 0
+    for x in _near_ds_floats():
+        rec = reconstruct_matrix(x)
+        assert rec is None or isinstance(rec, DoublyStochastic)
+        ref = _reference_reconstruct(x)
+        if ref is None:
+            continue
+        try:
+            ref = validate_ds(ref)
+        except DomainError:
+            continue
+        assert rec == ref
+        agreed += 1
+    assert agreed >= 150
+
+
+def test_reconstruct_matrix_forces_the_sums():
+    # the top-right entry misses 2/3 by 1e-6 and snaps to 222221/333331,
+    # so the entrywise snap is not doubly stochastic; the forced one is
+    x = [[1 / 3, 2 / 3 + 1e-6], [2 / 3, 1 / 3]]
+    assert _reference_reconstruct(x)[0, 1] == F(222221, 333331)
+    assert reconstruct_matrix(x) == DoublyStochastic([[F(1, 3), F(2, 3)],
+                                                      [F(2, 3), F(1, 3)]])
+    # a forced entry below zero refuses
+    assert reconstruct_matrix([[0.9, 0.9, 0.0], [0.05, 0.05, 0.9],
+                               [0.05, 0.05, 0.1]]) is None
 
 
 def test_rationality_probe_deterministic():

@@ -1,6 +1,7 @@
 """Types, constructors, validation, and serialization."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -61,6 +62,91 @@ def test_validate_row_mismatch():
     bad = RatMatrix([[F(1, 2), F(1, 4)], [F(1, 2), F(3, 4)]])
     with pytest.raises(RowSumMismatch):
         validate_ds(bad)
+
+
+def test_scaled_is_the_integer_grid():
+    grid, den = RatMatrix(S_ROWS).scaled()
+    assert den == 4
+    assert grid == [[0, 2, 2], [2, 1, 1], [2, 1, 1]]
+    m = random_ds(5, 7, seed=11)
+    grid, den = m.scaled()
+    assert den == lcm(*(x.denominator for x in m.entries()))
+    assert all(F(g, den) == x for g_row, row in zip(grid, m.rows)
+               for g, x in zip(g_row, row))
+
+
+def _reference_check_ds(m):
+    """The Fraction check: signs row-major, then column sums, then row
+    sums, each summed as Fractions."""
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise NegativeEntry(i, j, x)
+    for j in range(m.n):
+        s = sum(m.rows[i][j] for i in range(m.n))
+        if s != 1:
+            raise ColSumMismatch(j, s)
+    for i, row in enumerate(m.rows):
+        s = sum(row)
+        if s != 1:
+            raise RowSumMismatch(i, s)
+
+
+def _check_outcome(check, m):
+    """None, or the exception's type, typed fields and message."""
+    try:
+        check(m)
+    except DomainError as exc:
+        fields = {k: (type(v), v) for k, v in vars(exc).items()}
+        return type(exc), fields, str(exc)
+    return None
+
+
+def _validation_inputs():
+    """(kind, matrix): seeded DS matrices, some broken on purpose."""
+    rng = SplitMix64(0xC4EC)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        a = [list(row) for row in
+             random_ds(n, rng.randint(1, 2 * n), seed=rng.next64()).rows]
+        i, j = rng.below(n), rng.below(n)
+        i2, j2 = (i + 1 + rng.below(n - 1)) % n, (j + 1 + rng.below(n - 1)) % n
+        d = F(rng.randint(1, 9), rng.randint(1, 9))
+        kind = ("valid", "negative", "columns", "rows", "both")[rng.below(5)]
+        if kind == "negative":
+            # a 2 x 2 exchange that keeps every sum and drives a[i][j] below 0
+            t = a[i][j] + d
+            a[i][j] -= t
+            a[i2][j2] -= t
+            a[i][j2] += t
+            a[i2][j] += t
+        elif kind == "columns":
+            # mass moved along row i: row sums hold, columns j and j2 break
+            t = a[i][j2] * d / (d + 1)
+            a[i][j2] -= t
+            a[i][j] += t
+        elif kind == "rows":
+            t = a[i2][j] * d / (d + 1)
+            a[i2][j] -= t
+            a[i][j] += t
+        elif kind == "both":
+            a[i][j] += d
+        yield kind, RatMatrix(a)
+
+
+def test_validate_matches_fraction_reference():
+    seen = set()
+    for kind, m in _validation_inputs():
+        outcome = _check_outcome(validate_ds, m)
+        assert outcome == _check_outcome(_reference_check_ds, m), (kind, m)
+        name = None if outcome is None else outcome[0].__name__
+        seen.add((kind, name))
+        if kind == "both":
+            assert name == "ColSumMismatch"
+    assert {name for _, name in seen} == {None, "NegativeEntry",
+                                          "ColSumMismatch", "RowSumMismatch"}
+    assert ("columns", "ColSumMismatch") in seen
+    assert ("rows", "RowSumMismatch") in seen
 
 
 # ── constructors ──────────────────────────────────────────────────────────
