@@ -12,7 +12,7 @@ import os
 import sys
 
 from .ratmat import (DomainError, OrderTooLarge, ParseError, make_jn, make_tn,
-                     parse_rational, read_matrix, validate_ds)
+                     matrix_payload, parse_rational, read_matrix, validate_ds)
 from . import diagsum, explore, saturation, weakform
 
 CANONICAL_CAP = 512  # largest order of `canonical --name Tn:<n>` / `Jn:<n>`
@@ -20,10 +20,6 @@ CANONICAL_CAP = 512  # largest order of `canonical --name Tn:<n>` / `Jn:<n>`
 
 def _emit(payload):
     print(json.dumps(payload, separators=(",", ":")))
-
-
-def _mat_json(m):
-    return {"n": m.n, "rows": [[str(x) for x in row] for row in m.rows]}
 
 
 def _perm_json(p):
@@ -118,7 +114,7 @@ def cmd_construct(args):
     payload = {"u": str(u), "v": str(v), "sign": args.sign, "exact": params.exact}
     if params.exact:
         payload["w"] = str(params.w)
-        payload["matrix"] = _mat_json(matrix)
+        payload["matrix"] = matrix_payload(matrix)
     else:
         payload["w"] = params.w
         payload["matrix"] = matrix.tolist()
@@ -138,7 +134,7 @@ def cmd_enumerate(args):
                                     threads=_threads(args))
     found = []
     for m, c in report.saturating:
-        found.append({"matrix": _mat_json(m), "form": c.form,
+        found.append({"matrix": matrix_payload(m), "form": c.form,
                       "P": _perm_json(c.witness[0]), "Q": _perm_json(c.witness[1])})
     _emit({"denominator": report.denominator,
            "total_candidates": report.total_candidates,
@@ -157,7 +153,7 @@ def cmd_products(args):
     for probe in probes:
         out.append({"left": _spec_json(probe.left),
                     "right": _spec_json(probe.right),
-                    "product": _mat_json(probe.product),
+                    "product": matrix_payload(probe.product),
                     "frob_sq": str(probe.frob_sq),
                     "max_trace": str(probe.max_trace),
                     "trace_perm": _perm_json(probe.trace_perm),
@@ -175,7 +171,7 @@ def cmd_probe(args):
         out.append({"index": c.index, "kind": c.kind, "gap_float": c.gap_float,
                     "verified": c.verified,
                     "matrix": None if c.reconstructed is None
-                    else _mat_json(c.reconstructed)})
+                    else matrix_payload(c.reconstructed)})
     _emit({"n": report.n, "samples": report.samples, "seed": report.seed,
            "tol": report.tol, "candidates": out})
 
@@ -194,7 +190,7 @@ def cmd_canonical(args):
     else:
         tag = {"I1J2": "I1_J2"}.get(name, name)
         m = saturation.canonical(tag)
-    _emit(_mat_json(m))
+    _emit(matrix_payload(m))
 
 
 # ── driver ────────────────────────────────────────────────────────────────

@@ -53,6 +53,7 @@ from .saturation import CANONICAL_TAGS, canonical, classify3
 
 DENOMINATOR_CAP = 240
 ASYMMETRY_CAP = 6
+PROBE_CAP = 64  # largest order the exact gap path is benchmarked at
 
 
 class DenominatorTooLarge(DomainError):
@@ -370,11 +371,14 @@ def rationality_probe(n, samples, seed, tol=1e-9):
     trace, the latter via the assignment solver on floats).  Samples under
     tol (finite and positive) become candidates: reconstruct_matrix turns
     each into an exactly doubly stochastic matrix, verified when its gap
-    is exactly 0, or reports a failed reconstruction.
+    is exactly 0, or reports a failed reconstruction.  Orders above
+    PROBE_CAP are refused.
     """
     if n < 1 or samples < 0 or not 0 < tol < math.inf:
         raise DomainError(f"need n >= 1, samples >= 0 and a finite tol > 0, "
                           f"got n={n}, samples={samples}, tol={tol}")
+    if n > PROBE_CAP:
+        raise OrderTooLarge(n, PROBE_CAP, "rationality probe")
     rng = SplitMix64(seed)
     kinds = ("sinkhorn", "mixture", "jitter")
     candidates = []

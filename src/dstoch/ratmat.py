@@ -199,7 +199,7 @@ class RatMatrix:
     equality, hashing, transpose, and matrix product via @.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_scaled")
 
     def __init__(self, rows):
         rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
@@ -209,6 +209,7 @@ class RatMatrix:
             raise DomainError("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -250,11 +251,14 @@ class RatMatrix:
             yield from row
 
     def scaled(self):
-        """(grid, den): grid[i][j] / den == self[i, j], den the lcm."""
-        den = lcm(*(x.denominator for x in self.entries()))
-        grid = [[x.numerator * (den // x.denominator) for x in row]
-                for row in self.rows]
-        return grid, den
+        """(grid, den): grid[i][j] / den == self[i, j], den the lcm; computed
+        once per matrix and shared, so callers must not mutate the grid."""
+        if self._scaled is None:
+            den = lcm(*(x.denominator for x in self.entries()))
+            grid = [[x.numerator * (den // x.denominator) for x in row]
+                    for row in self.rows]
+            object.__setattr__(self, "_scaled", (grid, den))
+        return self._scaled
 
     def to_floats(self):
         """Row-major nested lists of float entries (lossy, for plotting)."""
@@ -395,14 +399,18 @@ def random_ds(n, k, seed):
 
 # ── serialization ─────────────────────────────────────────────────────────
 
+def matrix_payload(m):
+    """The JSON object of a matrix, entries as exact fraction strings."""
+    return {"n": m.n, "rows": [[str(x) for x in row] for row in m.rows]}
+
+
 def write_matrix(m):
     """Serialize a matrix to the canonical JSON form.
 
     Byte-stable: {"n":3,"rows":[["3/5","0","2/5"],...]} with entries as
     exact fraction strings.  read_matrix(write_matrix(m)) == m exactly.
     """
-    payload = {"n": m.n, "rows": [[str(x) for x in row] for row in m.rows]}
-    return json.dumps(payload, separators=(",", ":"))
+    return json.dumps(matrix_payload(m), separators=(",", ":"))
 
 
 def parse_matrix(text):

@@ -13,13 +13,11 @@ of six canonical representatives:
   T        zero diagonal, 1/2 elsewhere
   R        [[3/5,0,2/5],[0,3/5,2/5],[2/5,2/5,1/5]]
 
-The six forms have pairwise distinct entry multisets, and a (P, Q) orbit
-keeps the multiset, so the sorted entries of a matrix name the only form
-it can belong to.  The classifier looks that form up and decides
-membership by one exact permutation-equivalence scan, which also yields
-the witness; the independent route (gap == 0 through `diagsum`, and the
-weak-form construction in `weakform`) is used by the tests as a
-cross-check, never by the classifier itself.  Non-saturating matrices get
+Their orbits hold 49 matrices, tabulated at import by integer grid
+(`RatMatrix.scaled`) with each member's tag and lex-smallest witness
+(P, Q), P a Q equal to the representative: the classifier decides by one
+lookup, cross-checked in the tests by `permutation_equivalent`, the gap
+(`diagsum`) and the weak form (`weakform`).  Non-saturating matrices get
 the lex-smallest maximal diagonal from the assignment solver.
 """
 
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge, Permutation,
-                     validate_ds)
+                     all_permutations, validate_ds)
 from . import diagsum
 
 _F = Fraction
@@ -71,8 +69,23 @@ class Classification:
 
 _CANONICALS = {tag: DoublyStochastic(rows) for tag, rows in _CANONICAL_ROWS.items()}
 
-# sorted entries -> the one tag whose orbit can hold a matrix with them
-_TAG_BY_ENTRIES = {tuple(sorted(m.entries())): tag for tag, m in _CANONICALS.items()}
+
+def _orbit_table():
+    """(den, nine numerators) of each orbit member m -> (tag, (P, Q)), the
+    lex-first pair with P m Q == rep, i.e. m[i][k] == rep[p^-1(i)][q(k)]."""
+    perms = list(all_permutations(3))
+    table = {}
+    for tag, rep in _CANONICALS.items():
+        grid, den = rep.scaled()
+        for p in perms:
+            rows = [grid[r] for r in p.inverse()]
+            for q in perms:
+                key = (den, *(row[c] for row in rows for c in q))
+                table.setdefault(key, (tag, (p, q)))
+    return table
+
+
+_ORBITS = _orbit_table()
 
 
 def canonical(tag):
@@ -129,19 +142,16 @@ def classify2(a):
 def classify3(a):
     """Exact order-3 saturation decision with certificates.
 
-    Saturating inputs get the canonical form tag plus permutation
-    witnesses; everything else gets a separating permutation whose
-    diagonal sum strictly exceeds the Frobenius norm squared.  Input that
-    is not doubly stochastic is refused (validate_ds raises), since the
-    separator certifies nothing there.
+    Orbit members get their tag and (P, Q) witness by table lookup; other
+    input gets a separator, a permutation whose diagonal sum strictly
+    exceeds the Frobenius norm squared.  Non-doubly-stochastic input is
+    refused (validate_ds raises), since a separator certifies nothing there.
     """
     if a.n != 3:
         raise DomainError(f"classify3 needs order 3, got {a.n}")
     a = validate_ds(a)
-    tag = _TAG_BY_ENTRIES.get(tuple(sorted(a.entries())))
-    if tag is not None:
-        witness = permutation_equivalent(a, _CANONICALS[tag])
-        if witness is not None:
-            return Classification(True, form=tag, witness=witness)
-    separator = diagsum.max_trace_assignment(a).argmax
-    return Classification(False, separator=separator)
+    grid, den = a.scaled()
+    hit = _ORBITS.get((den, *grid[0], *grid[1], *grid[2]))
+    if hit is not None:
+        return Classification(True, form=hit[0], witness=hit[1])
+    return Classification(False, separator=diagsum.max_trace_assignment(a).argmax)

@@ -292,8 +292,9 @@ def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     ["probe", "--n", "3", "--samples", "3", "--seed", "0", "--tol", "nan"],
     ["probe", "--n", "3", "--samples", "-1", "--seed", "0"],
     ["probe", "--n", "-1", "--samples", "3", "--seed", "0"],
+    ["probe", "--n", "100000", "--samples", "3", "--seed", "0"],
 ], ids=["tn-order", "jn-order", "step-nan", "max-inf", "step-tiny", "min-nan",
-        "tol-nan", "samples-negative", "n-negative"])
+        "tol-nan", "samples-negative", "n-negative", "probe-order"])
 def test_unbounded_request_is_one_domain_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -329,11 +330,12 @@ def test_any_text_parses_or_exits_with_one_line(text):
         parsed = None
     else:
         assert isinstance(parsed, RatMatrix)
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), \
-            redirect_stdout(out), redirect_stderr(err):
-        code = main(["check", "-"])
-    err = err.getvalue()
-    assert code in ((2,) if parsed is None else (0, 1))
-    assert (code == 0) == (err == "")
-    assert err == "" or (err.startswith("ds: ") and err.count("\n") == 1)
+    for verb in ("check", "classify"):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main([verb, "-"])
+        err = err.getvalue()
+        assert code in ((2,) if parsed is None else (0, 1))
+        assert (code == 0) == (err == "")
+        assert err == "" or (err.startswith("ds: ") and err.count("\n") == 1)

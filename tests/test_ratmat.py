@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+import dstoch.ratmat
 from dstoch import (
     ColSumMismatch,
     DomainError,
@@ -19,6 +20,7 @@ from dstoch import (
     direct_sum,
     make_jn,
     make_tn,
+    marcus_ree_gap,
     parse_matrix,
     parse_rational,
     perm_matrix,
@@ -73,6 +75,20 @@ def test_scaled_is_the_integer_grid():
     assert den == lcm(*(x.denominator for x in m.entries()))
     assert all(F(g, den) == x for g_row, row in zip(grid, m.rows)
                for g, x in zip(g_row, row))
+
+
+def test_gap_decision_scales_once(monkeypatch):
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    monkeypatch.setattr(dstoch.ratmat, "lcm", counting_lcm)
+    rows = random_ds(6, 9, seed=12).rows
+    report = marcus_ree_gap(validate_ds(RatMatrix(rows)))
+    assert calls == [36]
+    assert report == marcus_ree_gap(RatMatrix(rows))
 
 
 def _reference_check_ds(m):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import dstoch.saturation
 from dstoch import (
     CANONICAL_TAGS,
     Classification,
@@ -186,3 +187,16 @@ def test_classify3_matches_reference_on_grid_and_orbits():
                for p in all_permutations(3) for q in all_permutations(3)]
     for m in inputs:
         assert classify3(m) == _reference_classify3(m)
+
+
+def test_classify3_decides_without_searching(monkeypatch):
+    def no_search(a, b):
+        raise AssertionError("classify3 called permutation_equivalent")
+
+    members = {perm_matrix(p) @ canonical(tag) @ perm_matrix(q)
+               for tag in CANONICAL_TAGS
+               for p in all_permutations(3) for q in all_permutations(3)}
+    assert len(members) == 49
+    monkeypatch.setattr(dstoch.saturation, "permutation_equivalent", no_search)
+    assert all(classify3(m).saturated for m in members)
+    assert not classify3(random_ds(3, 5, seed=7)).saturated
