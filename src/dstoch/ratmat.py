@@ -130,10 +130,11 @@ class Permutation:
 
     __slots__ = ("image",)
 
-    def __init__(self, image):
-        image = tuple(int(i) for i in image)
-        if sorted(image) != list(range(len(image))):
-            raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
+    def __init__(self, image, _trusted=False):
+        if not _trusted:  # internal callers pass int tuples built as bijections
+            image = tuple(int(i) for i in image)
+            if sorted(image) != list(range(len(image))):
+                raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
         object.__setattr__(self, "image", image)
 
     def __setattr__(self, name, value):
@@ -141,13 +142,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(n))
+        return cls(tuple(range(n)), _trusted=True)
 
     @classmethod
     def random(cls, n, rng):
         items = list(range(n))
         rng.shuffle(items)
-        return cls(items)
+        return cls(tuple(items), _trusted=True)
 
     def __call__(self, i):
         return self.image[i]
@@ -174,20 +175,20 @@ class Permutation:
         """Apply self, then other (matrix product order)."""
         if len(self) != len(other):
             raise DomainError("size mismatch in composition")
-        return Permutation(other.image[i] for i in self.image)
+        return Permutation(tuple(other.image[i] for i in self.image), _trusted=True)
 
     def inverse(self):
         inv = [0] * len(self.image)
         for i, j in enumerate(self.image):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation(tuple(inv), _trusted=True)
 
 
 def all_permutations(n):
     """Yield every Permutation of order n in lexicographic order."""
     from itertools import permutations
     for image in permutations(range(n)):
-        yield Permutation(image)
+        yield Permutation(image, _trusted=True)
 
 
 # ── matrices ──────────────────────────────────────────────────────────────

@@ -125,7 +125,8 @@ def permutation_equivalent(a, b):
                 break
             q_img.append(avail.pop(0))
         else:
-            return Permutation(p_img), Permutation(q_img)
+            return (Permutation(p_img, _trusted=True),
+                    Permutation(tuple(q_img), _trusted=True))
     return None
 
 

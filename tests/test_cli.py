@@ -330,7 +330,8 @@ def test_any_text_parses_or_exits_with_one_line(text):
         parsed = None
     else:
         assert isinstance(parsed, RatMatrix)
-    for verb in ("check", "classify"):
+    for verb in ("check", "classify", "gap", "maxtrace", "permanent", "maxprod",
+                 "params"):
         out, err = io.StringIO(), io.StringIO()
         with mock.patch("sys.stdin", io.StringIO(text)), \
                 redirect_stdout(out), redirect_stderr(err):

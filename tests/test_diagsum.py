@@ -150,6 +150,81 @@ def test_permanent_matches_naive_on_random_matrices():
         assert permanent(a) == permanent_naive(a)
 
 
+def _reference_ryser(a):
+    """Ryser's inclusion-exclusion formula with Gray-code subset order,
+
+        perm(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i sum_{j in S} a_ij,
+
+    the kernel `permanent` ran before Glynn's formula replaced it."""
+    n = a.n
+    grid, den = a.scaled()
+    cols = list(zip(*grid))
+    rowsum = [0] * n
+    total = 0
+    gray = 0
+    size = 0
+    for k in range(1, 1 << n):
+        g = k ^ (k >> 1)
+        bit = (g ^ gray).bit_length() - 1
+        col = cols[bit]
+        if g > gray:
+            size += 1
+            for i in range(n):
+                rowsum[i] += col[i]
+        else:
+            size -= 1
+            for i in range(n):
+                rowsum[i] -= col[i]
+        gray = g
+        prod = 1
+        for s in rowsum:
+            prod *= s
+            if prod == 0:
+                break
+        total += prod if (n - size) % 2 == 0 else -prod
+    return F(total, den ** n)
+
+
+def _signed_matrix(rng, n):
+    return RatMatrix([[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                      for _ in range(n)])
+
+
+def test_permanent_matches_ryser_on_random_ds():
+    rng = SplitMix64(606)
+    for n in range(7, 14):
+        for _ in range(2):
+            a = random_ds(n, rng.randint(1, 2 * n), seed=rng.next64())
+            assert permanent(a) == _reference_ryser(a)
+
+
+def test_permanent_matches_ryser_on_signed_matrices():
+    # negative entries, a zero row, a zero column, n = 1 and all zeros
+    rng = SplitMix64(607)
+    cases = [RatMatrix([[F(-3, 7)]]), RatMatrix([[0] * 5] * 5)]
+    for n in range(1, 11):
+        rows = [list(row) for row in _signed_matrix(rng, n).rows]
+        cases.append(RatMatrix(rows))
+        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        cases.append(RatMatrix([[0] * n if r == i else row
+                                for r, row in enumerate(rows)]))
+        cases.append(RatMatrix([[0 if c == j else x for c, x in enumerate(row)]
+                                for row in rows]))
+    for a in cases:
+        assert permanent(a) == _reference_ryser(a)
+        if not all(any(line) for line in a.rows + tuple(zip(*a.rows))):
+            assert permanent(a) == 0
+    assert permanent(cases[0]) == F(-3, 7)
+
+
+def test_permanent_matches_naive_on_signed_matrices():
+    rng = SplitMix64(608)
+    for _ in range(200):
+        a = _signed_matrix(rng, rng.randint(1, 7))
+        assert permanent(a) == permanent_naive(a)
+    assert permanent(RatMatrix([])) == permanent_naive(RatMatrix([])) == 1
+
+
 def test_gap_examples():
     assert marcus_ree_gap(S).saturated
     quarter = validate_ds(RatMatrix([[F(1, 4), F(3, 4)], [F(3, 4), F(1, 4)]]))

@@ -226,6 +226,23 @@ def test_permutation_inverse_and_order():
     assert sorted(all_permutations(3)) == list(all_permutations(3))
 
 
+def test_permutation_validates_public_input_only():
+    for image in ([0, 0], [1, 2], [-1, 0]):
+        with pytest.raises(DomainError):
+            Permutation(image)
+    # the unchecked internal paths build what the checked constructor builds
+    rng = SplitMix64(41)
+    for n in range(1, 6):
+        for p in all_permutations(n):
+            assert p == Permutation(p.image) and type(p.image) is tuple
+        for _ in range(20):
+            p, q = Permutation.random(n, rng), Permutation.random(n, rng)
+            for r in (p.compose(q), p.inverse(), Permutation.identity(n)):
+                assert r == Permutation(list(r)) and type(r.image) is tuple
+            assert p.compose(q).image == tuple(q(p(i)) for i in range(n))
+            assert p.compose(p.inverse()) == Permutation(range(n))
+
+
 def test_block_j_form_identity_parts():
     assert block_j_form(Permutation.identity(3), [3],
                         Permutation.identity(3)) == make_jn(3)
