@@ -4,15 +4,15 @@ diagonal sum, parametrized by a point (u, v) and a root sign.
 
 Demonstrates the exact region predicates, the matrix construction at
 rational-root points, the famous witness that the weak form does not
-imply saturation, and exports the boundary-curve table that reproduces
-the region figures.
+imply saturation (an irrational root, still decided exactly), and exports
+the boundary-curve table that reproduces the region figures.
 """
 
 from fractions import Fraction as F
 
 from dstoch import (boundary_csv, boundary_curves, classify3, in_disc_e0,
                     in_ellipse, in_u_minus, in_u_plus, params_to_matrix,
-                    solve_w, sqrt_kind, trace_dominant, weak_residual,
+                    rational_sqrt, solve_w, trace_dominant, weak_residual,
                     weak_saturation_check)
 
 print("Exact region membership")
@@ -29,15 +29,18 @@ for u, v, sign in [(0, F(-3, 5), "minus"), (0, 1, "plus"), (0, -1, "plus")]:
     c = classify3(m)
     print(f"  ({u}, {v}) {sign:5}: w = {params.w}, classifies as {c.form}")
 
-print("\nAn irrational-root point still builds a float matrix:")
+print("\nAn irrational-root point builds an exact matrix over Q(sqrt(disc)):")
 params = solve_w(0, F(-21, 20), "minus")
 m = params_to_matrix(params)
-print(f"  (0, -21/20) minus: w = {params.w:.6f} "
-      f"(discriminant {params.discriminant} is not a perfect square)")
+print(f"  (0, -21/20) minus: w = {params.w}")
+print(f"  (discriminant {params.discriminant} is not a perfect square)")
 for row in m:
-    print("   ", "  ".join(f"{x:.6f}" for x in row))
+    print("   ", "  |  ".join(str(x) for x in row))
+frob = sum(x * x for row in m for x in row)
+tr = m[0][0] + m[1][1] + m[2][2]
 sigma = weak_saturation_check(m)
-print(f"  weak form holds at sigma = {sigma} (frob^2 = tr to 1e-12),")
+print(f"  weak form holds at sigma = {sigma} (frob^2 == tr exactly: "
+      f"{frob == tr}),")
 print(f"  but trace_dominant = {trace_dominant(m)}: "
       "the matrix does NOT saturate.")
 
@@ -48,9 +51,10 @@ for u, v, w in [(0, F(-3, 5), 0), (0, 1, 0), (0, 0, 0), (F(1, 2), 0, F(1, 8))]:
 
 print("\nDiscriminant arithmetic stays exact:")
 for u, v in [(0, F(-3, 5)), (0, F(-21, 20))]:
-    kind = sqrt_kind(u, v)
-    root = kind.exact_root if kind.exact_root is not None else "irrational"
-    print(f"  7-6u^2-6v^2 at ({u}, {v}) = {kind.discriminant}, sqrt: {root}")
+    disc = solve_w(u, v, "minus").discriminant
+    root = rational_sqrt(disc)
+    print(f"  7-6u^2-6v^2 at ({u}, {v}) = {disc}, "
+          f"sqrt: {'irrational' if root is None else root}")
 
 path = "boundary_curves.csv"
 with open(path, "w", encoding="utf-8") as handle:

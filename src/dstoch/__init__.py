@@ -3,7 +3,7 @@
 Core quantities (Frobenius norm squared, maximal trace, permanent, the
 Marcus-Ree gap), the complete order-3 saturation classifier with
 certificates, the weak-form parameter regions, and enumeration / search
-harnesses.  Everything decision-relevant runs on exact rationals.
+harnesses.  Everything decision-relevant runs in exact arithmetic.
 """
 
 from .ratmat import (
@@ -40,7 +40,6 @@ from .diagsum import (
     max_trace_assignment,
     max_trace_brute,
     permanent,
-    permanent_naive,
 )
 from .saturation import (
     CANONICAL_TAGS,
@@ -53,12 +52,10 @@ from .saturation import (
 from .weakform import (
     NegativeDiscriminant,
     NotDoublyStochastic,
-    SqrtKind,
     WeakFormParams,
     ZeroCellMissing,
     boundary_csv,
     boundary_curves,
-    construct_matrix,
     in_disc_e0,
     in_ellipse,
     in_u_minus,
@@ -67,7 +64,6 @@ from .weakform import (
     params_to_matrix,
     rational_sqrt,
     solve_w,
-    sqrt_kind,
     trace_dominant,
     weak_residual,
     weak_saturation_check,

@@ -7,7 +7,9 @@ stochastic), 2 usage or parse error.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -110,14 +112,23 @@ def cmd_params(args):
 def cmd_construct(args):
     u, v = parse_rational(args.u), parse_rational(args.v)
     params = weakform.solve_w(u, v, args.sign)
-    matrix = weakform.params_to_matrix(params)
     payload = {"u": str(u), "v": str(v), "sign": args.sign, "exact": params.exact}
     if params.exact:
         payload["w"] = str(params.w)
-        payload["matrix"] = matrix_payload(matrix)
+        payload["matrix"] = matrix_payload(weakform.params_to_matrix(params))
     else:
-        payload["w"] = params.w
-        payload["matrix"] = matrix.tolist()
+        # decided exactly in Q(sqrt(disc)), printed as the closed form's doubles
+        s = -1 if args.sign == weakform.SIGN_MINUS else 1
+        w = (1.0 - 2.0 * float(v) + s * math.sqrt(float(params.discriminant))) / 8.0
+        payload["w"] = w
+        payload["matrix"] = rows = weakform._format_rows(float(u), float(v), w)
+        try:
+            weakform.params_to_matrix(params)
+        except weakform.NotDoublyStochastic as exc:
+            x = rows[int(exc.entry[1]) - 1][int(exc.entry[2]) - 1]
+            if x >= 0:  # rounded up from a tiny negative: print it exactly
+                raise
+            raise weakform.NotDoublyStochastic(exc.entry, x) from None
     _emit(payload)
 
 
@@ -195,6 +206,7 @@ def cmd_canonical(args):
 
 # ── driver ────────────────────────────────────────────────────────────────
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ds",

@@ -29,7 +29,6 @@ from .ratmat import DomainError, OrderTooLarge, Permutation
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
-NAIVE_PERMANENT_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -263,21 +262,6 @@ def permanent(a):
         term = math.prod(rowsum)
         total += -term if k & 1 else term
     return Fraction(total, den ** n << (n - 1))
-
-
-def permanent_naive(a):
-    """Defining n!-term sum; the independent oracle for `permanent`."""
-    n = a.n
-    if n > NAIVE_PERMANENT_CAP:
-        raise OrderTooLarge(n, NAIVE_PERMANENT_CAP, "naive permanent")
-    grid, den = a.scaled()
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= grid[i][perm[i]]
-        total += prod
-    return Fraction(total, den ** n)
 
 
 # ── the Marcus-Ree gap ────────────────────────────────────────────────────

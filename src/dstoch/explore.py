@@ -113,12 +113,6 @@ class ProbeReport:
 
 # ── exhaustive grid census ────────────────────────────────────────────────
 
-# x11 slices per numpy pass; the thread pool maps over these blocks.  One
-# slice per pass leaves too little numpy work between GIL hand-offs for
-# threads to pay off.
-_SLICES_PER_BLOCK = 8
-
-
 def _census_block(d, x11s, zero_cell):
     """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
 
@@ -215,8 +209,12 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
             raise DomainError(f"zero_cell out of range: {zero_cell}")
     if threads is None:
         threads = os.cpu_count() or 1
-    blocks = [range(lo, min(lo + _SLICES_PER_BLOCK, d + 1))
-              for lo in range(0, d + 1, _SLICES_PER_BLOCK)]
+    # x11 slices per numpy pass, which the thread pool maps over.  8 slices
+    # per pass at d = 60 give threads enough numpy work between GIL
+    # hand-offs; a pass's int64 arrays are what a thread holds at once, so
+    # passes shrink as (d + 1)^2 grows, to one slice from d = 122 on.
+    step = max(1, 8 * 61 ** 2 // (d + 1) ** 2)
+    blocks = [range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             passes = list(pool.map(lambda b: _census_block(d, b, zero_cell),

@@ -25,9 +25,10 @@ closed disc E0: u^2 + v^2 <= 7/6 and three solid ellipses
 
 giving the minus-root region U_minus and the plus-root region U_plus (the
 latter contains the isolated point (0, 1)).  Both region predicates are
-decided in exact rational arithmetic.  Matrix construction is exact when
-the discriminant 7 - 6u^2 - 6v^2 is the square of a rational and falls
-back to floats (tolerance 1e-9 on the constraints) otherwise.
+decided in exact rational arithmetic, and so is everything built on the
+root: w is a Fraction when the discriminant 7 - 6u^2 - 6v^2 is the square
+of a rational and an exact a + b sqrt(disc) in Q(sqrt(disc)) otherwise,
+so feasibility and the weak-form checks are sign tests, with no tolerance.
 
 Boundary curves for plotting, all for |u| within their domains:
 
@@ -39,9 +40,8 @@ Boundary curves for plotting, all for |u| within their domains:
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt
-
-import numpy as np
 
 from .ratmat import (DomainError, DoublyStochastic, RatMatrix,
                      all_permutations)
@@ -75,20 +75,54 @@ class ZeroCellMissing(DomainError):
         super().__init__(f"entry (2,1) must be exactly 0, got {value}")
 
 
+@total_ordering
 @dataclass(frozen=True)
-class SqrtKind:
-    """Discriminant 7 - 6u^2 - 6v^2 and its exact square root, if rational."""
-    discriminant: Fraction
-    exact_root: Fraction | None
+class _Surd:
+    """a + b sqrt(d) for Fractions a, b != 0 and d > 0 not a rational square.
+    A result with b = 0 is returned as the Fraction a, so a _Surd never
+    equals a rational and `==` is equality of (a, b, d)."""
+    a: Fraction
+    b: Fraction
+    d: Fraction
+
+    def _new(self, a, b):
+        return _Surd(a, b, self.d) if b else a
+
+    def __add__(self, y):
+        if isinstance(y, _Surd):
+            return self._new(self.a + y.a, self.b + y.b)
+        return _Surd(self.a + y, self.b, self.d)
+
+    def __mul__(self, y):
+        if isinstance(y, _Surd):
+            return self._new(self.a * y.a + self.b * y.b * self.d,
+                             self.a * y.b + self.b * y.a)
+        return self._new(self.a * y, self.b * y)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, y):
+        return _Surd(y - self.a, -self.b, self.d)
+
+    def __lt__(self, y):
+        a, b = (self.a - y.a, self.b - y.b) if isinstance(y, _Surd) else (self.a - y, self.b)
+        if not b:
+            return a < 0
+        # the part with the larger square carries the sign: a^2 = b^2 d is
+        # impossible for d not a rational square
+        return b < 0 if a * a < b * b * self.d else a < 0
+
+    def __str__(self):
+        return f"{self.a} {'-' if self.b < 0 else '+'} {abs(self.b)}*sqrt({self.d})"
 
 
 @dataclass(frozen=True)
 class WeakFormParams:
     u: Fraction
     v: Fraction
-    w: Fraction | float   # exact iff the discriminant is a perfect square
+    w: Fraction | _Surd   # a Fraction iff the discriminant is a rational square
     sign: str
-    exact: bool
+    exact: bool           # w is rational
     discriminant: Fraction
 
 
@@ -112,17 +146,12 @@ def discriminant(u, v):
     return 7 - 6 * u * u - 6 * v * v
 
 
-def sqrt_kind(u, v):
-    disc = discriminant(u, v)
-    return SqrtKind(disc, rational_sqrt(disc))
-
-
 def solve_w(u, v, sign):
     """The root w = (1 - 2v -/+ sqrt(7-6u^2-6v^2)) / 8 for the given sign.
 
-    Exact Fraction when the discriminant is a perfect rational square,
-    double-precision float otherwise.  Raises NegativeDiscriminant outside
-    the disc E0.
+    A Fraction when the discriminant is a perfect rational square, the
+    exact element of Q(sqrt(disc)) otherwise.  Raises NegativeDiscriminant
+    outside the disc E0.
     """
     if sign not in (SIGN_MINUS, SIGN_PLUS):
         raise DomainError(f"sign must be {SIGN_MINUS!r} or {SIGN_PLUS!r}")
@@ -132,10 +161,9 @@ def solve_w(u, v, sign):
         raise NegativeDiscriminant(u, v, disc)
     s = -1 if sign == SIGN_MINUS else 1
     root = rational_sqrt(disc)
-    if root is not None:
-        return WeakFormParams(u, v, (1 - 2 * v + s * root) / 8, sign, True, disc)
-    w = (1.0 - 2.0 * float(v) + s * math.sqrt(float(disc))) / 8.0
-    return WeakFormParams(u, v, w, sign, False, disc)
+    w = (_Surd((1 - 2 * v) / 8, _F(s, 8), disc) if root is None
+         else (1 - 2 * v + s * root) / 8)
+    return WeakFormParams(u, v, w, sign, root is not None, disc)
 
 
 # ── exact region predicates ───────────────────────────────────────────────
@@ -263,33 +291,21 @@ def _format_rows(u, v, w):
     ]
 
 
-def params_to_matrix(q, tol=1e-9):
+def params_to_matrix(q):
     """Build the parametrized matrix for WeakFormParams (or a (u, v, w)
     triple of exact rationals).
 
-    Exact parameters give a validated DoublyStochastic; float w gives a
-    3 x 3 numpy array whose entries must clear -tol.  Raises
-    NotDoublyStochastic naming the first violated entry.
+    A rational w gives a validated DoublyStochastic, an irrational one the
+    3 x 3 rows of its exact entries in Q(sqrt(disc)).  Raises
+    NotDoublyStochastic naming the first negative entry.
     """
-    if isinstance(q, WeakFormParams):
-        u, v, w, exact = q.u, q.v, q.w, q.exact
-    else:
-        u, v, w = (_q(x) for x in q)
-        exact = True
-    if not exact:
-        u, v, w = float(u), float(v), float(w)
+    u, v, w = (q.u, q.v, q.w) if isinstance(q, WeakFormParams) else map(_q, q)
     rows = _format_rows(u, v, w)
-    floor = 0 if exact else -tol
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if x < floor:
+            if x < 0:
                 raise NotDoublyStochastic(_ENTRY_NAMES[i][j], x)
-    return DoublyStochastic(rows) if exact else np.array(rows, dtype=float)
-
-
-def construct_matrix(u, v, sign, tol=1e-9):
-    """solve_w then params_to_matrix, in one step."""
-    return params_to_matrix(solve_w(u, v, sign), tol=tol)
+    return DoublyStochastic(rows) if isinstance(w, Fraction) else rows
 
 
 def matrix_to_params(a):
@@ -314,41 +330,31 @@ def weak_residual(u, v, w):
 
 
 def _order3_rows(a):
-    """(rows, den, exact): the integer numerators of an order-3 RatMatrix
-    over their common denominator den, or the float rows of a 3 x 3 array
-    with den = 1."""
-    exact = isinstance(a, RatMatrix)
-    rows, den = (a.scaled() if exact
-                 else ([[float(x) for x in row] for row in a], 1))
+    """(rows, den): the integer numerators of an order-3 RatMatrix over
+    their common denominator den, or the exact rows that params_to_matrix
+    builds at an irrational root, with den = 1."""
+    rows, den = a.scaled() if isinstance(a, RatMatrix) else (a, 1)
     if len(rows) != 3:
         raise DomainError(f"need order 3, got {len(rows)}")
-    return rows, den, exact
+    return rows, den
 
 
-def weak_saturation_check(a, tol=1e-12):
+def weak_saturation_check(a):
     """A permutation whose diagonal sum equals the Frobenius norm squared,
-    or None.
-
-    Exact matrices are compared exactly; a float 3 x 3 array (as produced
-    by the irrational branch of params_to_matrix) is compared to within
-    tol.  The returned permutation is the lex-smallest match.
-    """
-    rows, den, exact = _order3_rows(a)
+    or None, decided exactly; the lex-smallest match is returned."""
+    rows, den = _order3_rows(a)
     # scaled by den^2: ||a||^2 -> frob, a diagonal sum s -> den * s
     frob = sum(x * x for row in rows for x in row)
     for p in all_permutations(3):
-        diff = den * sum(rows[i][p(i)] for i in range(3)) - frob
-        if (diff == 0 if exact else abs(diff) < tol):
+        if den * sum(rows[i][p(i)] for i in range(3)) == frob:
             return p
     return None
 
 
-def trace_dominant(a, tol=1e-12):
-    """Does the plain trace attain the maximal trace?  Decided by comparing
-    tr(a) against the five non-identity diagonal sums, exactly for exact
-    matrices and to within tol for float ones."""
-    rows, _, exact = _order3_rows(a)
+def trace_dominant(a):
+    """Does the plain trace attain the maximal trace?  Decided exactly by
+    comparing tr(a) against the five non-identity diagonal sums."""
+    rows, _ = _order3_rows(a)
     tr = rows[0][0] + rows[1][1] + rows[2][2]
-    bound = tr if exact else tr + tol
-    return all(sum(rows[i][p(i)] for i in range(3)) <= bound
+    return all(sum(rows[i][p(i)] for i in range(3)) <= tr
                for p in all_permutations(3) if p.image != (0, 1, 2))

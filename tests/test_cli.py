@@ -150,6 +150,25 @@ def test_construct_float_branch(capsys):
     assert isinstance(payload["w"], float)
 
 
+def test_construct_just_outside_the_region_is_domain_error(capsys):
+    # 2e-10 above the E3 boundary point (0, -3/5): U_minus does not hold
+    # and the irrational w = a12 is about -9.09e-11, so the exact sign test
+    # refuses what a -1e-9 float floor would have printed
+    v = "-2999999999/5000000000"
+    _, out, _ = run(capsys, "region", "--u", "0", "--v", v)
+    assert json.loads(out)["U_minus"] is False
+    code, out, err = run(capsys, "construct", "--u", "0", "--v", v,
+                         "--sign", "minus")
+    assert code == 1 and out == ""
+    assert err.startswith("ds: constraint a12 >= 0 violated: a12 = -9.09")
+    # here a13 = (sqrt(disc) - 1)/8 < 0 rounds to a double >= 0, so the
+    # message prints it exactly
+    code, out, err = run(capsys, "construct", "--u", "1", "--v",
+                         "-1/1000000000", "--sign", "minus")
+    assert code == 1 and out == ""
+    assert err.startswith("ds: constraint a13 >= 0 violated: a13 = -1/8 + 1/8*sqrt(")
+
+
 def test_boundary_csv(capsys):
     code, out, _ = run(capsys, "boundary", "--min", "-0.5", "--max", "0.5",
                        "--step", "0.25", "--csv")

@@ -1,6 +1,7 @@
 """Frobenius norm squared, maximal trace (both routes), diagonal products,
 permanent, and the gap report."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,6 @@ from dstoch import (
     max_trace_brute,
     perm_matrix,
     permanent,
-    permanent_naive,
     random_ds,
     validate_ds,
 )
@@ -148,6 +148,24 @@ def test_permanent_matches_naive_on_random_matrices():
         rows = [[F(rng.randint(0, 9), 10) for _ in range(n)] for _ in range(n)]
         a = RatMatrix(rows)
         assert permanent(a) == permanent_naive(a)
+
+
+NAIVE_PERMANENT_CAP = 8
+
+
+def permanent_naive(a):
+    """Defining n!-term sum; the independent oracle for `permanent`."""
+    n = a.n
+    if n > NAIVE_PERMANENT_CAP:
+        raise OrderTooLarge(n, NAIVE_PERMANENT_CAP, "naive permanent")
+    grid, den = a.scaled()
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        prod = 1
+        for i in range(n):
+            prod *= grid[i][perm[i]]
+        total += prod
+    return F(total, den ** n)
 
 
 def _reference_ryser(a):

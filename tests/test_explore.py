@@ -167,6 +167,14 @@ def test_enumerate_d120_is_the_orbit_union():
     assert found == _orbit_union()
 
 
+def test_enumerate_d240_threaded_is_the_orbit_union():
+    # the cap; one x11 slice per pass keeps the threaded census small
+    report = enumerate_grid(240, threads=2)
+    assert report.ds_count == 425_196_541
+    assert {m for m, _ in report.saturating} == _orbit_union()
+    assert len(report.saturating) == 49
+
+
 # ── block-J products ──────────────────────────────────────────────────────
 
 def test_probe_s_factorization():

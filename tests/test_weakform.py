@@ -1,8 +1,11 @@
 """Region predicates, boundary curves, the parametrized construction, and
 the weak-form residual."""
 
+import ast
+import itertools
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from dstoch import (
     boundary_curves,
     canonical,
     classify3,
-    construct_matrix,
     frobenius_sq,
     in_disc_e0,
     in_ellipse,
@@ -27,7 +29,6 @@ from dstoch import (
     params_to_matrix,
     rational_sqrt,
     solve_w,
-    sqrt_kind,
     trace_dominant,
     validate_ds,
     weak_residual,
@@ -80,15 +81,12 @@ def test_sign_branches_give_distinct_matrices_at_common_points():
     grid = [F(k, 80) for k in range(-96, 97)]
     common = [(u, v) for u in grid for v in grid
               if in_u_minus(u, v) and in_u_plus(u, v)
-              and sqrt_kind(u, v).discriminant > 0]
+              and solve_w(u, v, "minus").discriminant > 0]
     assert len(common) >= 100
     for u, v in common[:100]:
         minus = params_to_matrix(solve_w(u, v, "minus"))
         plus = params_to_matrix(solve_w(u, v, "plus"))
-        if isinstance(minus, RatMatrix):
-            assert minus != plus
-        else:
-            assert np.abs(minus - plus).max() > 1e-9
+        assert minus != plus
 
 
 # ── boundary curves ───────────────────────────────────────────────────────
@@ -149,7 +147,7 @@ def test_construct_errors():
     with pytest.raises(NegativeDiscriminant):
         solve_w(1, 1, "minus")
     with pytest.raises(NotDoublyStochastic) as exc:
-        construct_matrix(0, F(-3, 5), "plus")  # interior of E1; w too big
+        params_to_matrix(solve_w(0, F(-3, 5), "plus"))  # interior of E1; w too big
     assert exc.value.entry == "a13"
 
 
@@ -170,7 +168,7 @@ def test_matrix_to_params_examples():
 def test_params_matrix_round_trip():
     for u, v, sign in [(0, F(-3, 5), "minus"), (0, -1, "plus"),
                        (F(2, 5), -1, "plus"), (1, 0, "minus")]:
-        m = construct_matrix(u, v, sign)
+        m = params_to_matrix(solve_w(u, v, sign))
         assert params_to_matrix(matrix_to_params(m)) == m
 
 
@@ -269,11 +267,15 @@ def test_weak_saturation_check_exact():
     assert weak_saturation_check(m) is None
 
 
-def test_float_witness_at_the_counterexample_point():
+def test_exact_witness_at_the_counterexample_point():
     # (u, v) = (0, -21/20), minus root: the weak form holds (identity
-    # permutation) but the trace is not maximal
-    m = params_to_matrix(solve_w(0, F(-21, 20), "minus"))
-    assert isinstance(m, np.ndarray)
+    # permutation) but the trace is not maximal, both decided exactly in
+    # Q(sqrt(77/200)) with w = 31/80 - sqrt(77/200)/8
+    params = solve_w(0, F(-21, 20), "minus")
+    assert not params.exact and params.discriminant == F(77, 200)
+    m = params_to_matrix(params)
+    assert not isinstance(m, RatMatrix)
+    assert m[1] == [0, F(39, 80), F(41, 80)]
     assert weak_saturation_check(m) == Permutation.identity(3)
     assert not trace_dominant(m)
 
@@ -292,7 +294,7 @@ def test_region_predicates_match_construction_on_grid():
         for v in GRID_40:
             for sign, pred in (("minus", in_u_minus), ("plus", in_u_plus)):
                 try:
-                    params_to_matrix(solve_w(u, v, sign), tol=1e-9)
+                    params_to_matrix(solve_w(u, v, sign))
                     feasible = True
                 except (NegativeDiscriminant, NotDoublyStochastic):
                     feasible = False
@@ -304,7 +306,7 @@ def test_exact_grid_saturation_points_are_the_known_eight():
     found = {"minus": set(), "plus": set()}
     for u in GRID_40:
         for v in GRID_40:
-            if rational_sqrt(sqrt_kind(u, v).discriminant) is None:
+            if rational_sqrt(7 - 6 * u * u - 6 * v * v) is None:
                 continue
             for sign in ("minus", "plus"):
                 try:
@@ -316,3 +318,95 @@ def test_exact_grid_saturation_points_are_the_known_eight():
                     found[sign].add((u, v))
     assert found["minus"] == {(0, -1), (0, F(-3, 5)), (1, 0), (-1, 0)}
     assert found["plus"] == {(0, 1), (0, -1), (F(2, 5), -1), (F(-2, 5), -1)}
+
+
+# ── the irrational root, exactly ──────────────────────────────────────────
+
+def _surd_nonneg(p, q, disc):
+    """p + q sqrt(disc) >= 0, with sqrt(disc) isolated and both sides squared."""
+    if q >= 0:
+        return p >= 0 or q * q * disc >= p * p
+    return p >= 0 and p * p >= q * q * disc
+
+
+def _reference_decisions(u, v, sign):
+    """(feasible, weak permutation, trace dominant) at an irrational root,
+    every entry a pair (p, q) standing for p + q sqrt(disc)."""
+    disc = 7 - 6 * u * u - 6 * v * v
+    w, r = (1 - 2 * v) / 8, F(-1 if sign == "minus" else 1, 8)
+    q1, q2 = (1 - v - u) / 4, (1 - v + u) / 4
+    rows = [[((v + u + 3) / 4, 0), (w, r), (q1 - w, -r)],
+            [(0, 0), ((v - u + 3) / 4, 0), (q2, 0)],
+            [(q1, 0), (q2 - w, -r), ((v + 1) / 2 + w, r)]]
+    if not all(_surd_nonneg(p, q, disc) for row in rows for p, q in row):
+        return False, None, None
+    frob = (sum(p * p + q * q * disc for row in rows for p, q in row),
+            sum(2 * p * q for row in rows for p, q in row))
+    diag = {perm: tuple(sum(rows[i][perm[i]][t] for i in range(3)) for t in (0, 1))
+            for perm in itertools.permutations(range(3))}
+    weak = next((perm for perm, d in diag.items() if d == frob), None)
+    tr = diag[(0, 1, 2)]
+    dominant = all(_surd_nonneg(tr[0] - d[0], tr[1] - d[1], disc) for d in diag.values())
+    return True, weak, dominant
+
+
+def test_exact_root_matches_squaring_oracle_on_the_40_grid():
+    checked = 0
+    for u in GRID_40:
+        for v in GRID_40:
+            disc = 7 - 6 * u * u - 6 * v * v
+            if disc < 0 or rational_sqrt(disc) is not None:
+                continue
+            for sign in ("minus", "plus"):
+                feasible, weak, dominant = _reference_decisions(u, v, sign)
+                try:
+                    m = params_to_matrix(solve_w(u, v, sign))
+                except NotDoublyStochastic:
+                    assert not feasible, (u, v, sign)
+                    continue
+                assert feasible, (u, v, sign)
+                got = weak_saturation_check(m)
+                assert (None if got is None else got.image) == weak, (u, v, sign)
+                assert trace_dominant(m) == dominant, (u, v, sign)
+                checked += 1
+    assert checked > 1000
+
+
+# rational points on the region boundaries, and the double nearest the
+# irrational bottom (0, -sqrt(7/6)) of the disc E0
+_BOUNDARY_ANCHORS = [(0, F(-3, 5)), (1, 0), (-1, 0), (0, -1), (F(2, 5), -1),
+                     (F(-2, 5), -1), (0, 1), (0, -F(math.sqrt(7 / 6)))]
+
+
+@pytest.mark.parametrize("eps", [F(1, 10 ** 9), F(1, 10 ** 11)])
+def test_construction_matches_regions_next_to_the_boundaries(eps):
+    seen, irrational = set(), 0
+    for u0, v0 in _BOUNDARY_ANCHORS:
+        for du, dv in itertools.product((-eps, 0, eps), repeat=2):
+            u, v = u0 + du, v0 + dv
+            for sign, pred in (("minus", in_u_minus), ("plus", in_u_plus)):
+                try:
+                    m = params_to_matrix(solve_w(u, v, sign))
+                except (NegativeDiscriminant, NotDoublyStochastic):
+                    m = None
+                assert (m is not None) == pred(u, v), (u, v, sign)
+                if m is not None:
+                    # frob^2 - tr is the residual, which w zeroes exactly
+                    assert weak_saturation_check(m) == Permutation.identity(3)
+                seen.add((sign, m is not None))
+                irrational += m is not None and not isinstance(m, RatMatrix)
+    assert seen == {(s, ok) for s in ("minus", "plus") for ok in (True, False)}
+    assert irrational > 0
+
+
+def test_weakform_imports_no_numpy():
+    import dstoch.weakform
+    tree = ast.parse(Path(dstoch.weakform.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "numpy" for name in names)
