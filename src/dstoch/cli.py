@@ -25,7 +25,7 @@ def _emit(payload):
 
 
 def _perm_json(p):
-    return list(p.image)
+    return list(p)
 
 
 def _threads(args):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratmat import DomainError, OrderTooLarge, Permutation
+from .ratmat import DomainError, OrderTooLarge, Permutation, _perm
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
@@ -79,8 +79,7 @@ def max_trace_brute(a):
             s += grid[i][perm[i]]
         if best is None or s > best:
             best, best_perm = s, perm
-    return TraceReport(Fraction(best, den), Permutation(best_perm, _trusted=True),
-                       "brute")
+    return TraceReport(Fraction(best, den), _perm(best_perm), "brute")
 
 
 def max_diag_product(a):
@@ -99,54 +98,55 @@ def max_diag_product(a):
                 break
         if best is None or prod > best:
             best, best_perm = prod, perm
-    return Fraction(best, den ** n), Permutation(best_perm, _trusted=True)
+    return Fraction(best, den ** n), _perm(best_perm)
 
 
 # ── assignment solver ─────────────────────────────────────────────────────
 #
-# Shortest-augmenting-path Hungarian method with potentials, run on the
-# negated matrix.  It is generic over the entry type: exact matrices reach it
-# as Python ints (the numerators over the common denominator that
-# `RatMatrix.scaled` returns) and the float tier as floats.  Only +, -, and <
-# are used, never division, so integer inputs stay exact.
+# Shortest-augmenting-path Hungarian method with potentials, maximizing.  It
+# is generic over the entry type: exact matrices reach it as Python ints (the
+# numerators over the common denominator that `RatMatrix.scaled` returns) and
+# the float tier as floats.  Only +, -, and < are used, never division, so
+# integer inputs stay exact; math.inf is the open bound, since ints and floats
+# both compare with it.
 
-def _assignment_min(cost):
-    """Solve min-cost perfect assignment for a square cost matrix.
+def _assignment_max(weight):
+    """Solve max-weight perfect assignment for a square weight matrix.
 
     Returns (assign, u, v): assign[i] is the column matched to row i, and
-    the potentials satisfy cost[i][j] - u[i+1] - v[j+1] >= 0 with equality
-    on every matched pair (1-based potential arrays, index 0 virtual).
+    the potentials satisfy weight[i][j] <= u[i] + v[j] everywhere, with
+    equality on every matched pair.
     """
-    n = len(cost)
-    u = [0] * (n + 1)
+    n = len(weight)
+    u = [0] * (n + 1)      # 1-based here, index 0 virtual
     v = [0] * (n + 1)
     p = [0] * (n + 1)      # p[j]: row matched to column j, 0 if free
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [None] * (n + 1)   # None plays +infinity
+        minv = [math.inf] * (n + 1)   # least slack u + v - weight into column j
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = None
-            j1 = None
+            row = weight[i0 - 1]
+            delta = math.inf
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if minv[j] is None or cur < minv[j]:
+                cur = u[i0] - row[j - 1] + v[j]
+                if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
-                if delta is None or minv[j] < delta:
+                if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
             for j in range(n + 1):
                 if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
+                    u[p[j]] -= delta
+                    v[j] += delta
+                else:
                     minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
@@ -158,7 +158,7 @@ def _assignment_min(cost):
     assign = [0] * n
     for j in range(1, n + 1):
         assign[p[j] - 1] = j - 1
-    return assign, u, v
+    return assign, u[1:], v[1:]
 
 
 def _matchable(adj, start, used):
@@ -205,30 +205,24 @@ def max_trace_assignment(a):
     """Maximal trace via the exact assignment solver.
 
     Same contract as max_trace_brute (value and lex-smallest argmax), but
-    polynomial: one Hungarian solve on the integer grid of `a.scaled()` gives
-    optimal potentials, and every optimal permutation lives on the
-    potential-tight edges, so the lex smallest one is found by greedy
-    matching on that subgraph.
+    polynomial: one `_assignment_max` solve on the integer grid of
+    `a.scaled()` gives potentials with grid[i][j] <= u[i] + v[j], every
+    optimal permutation lives on the tight edges where equality holds, and
+    the lex smallest one is found by greedy matching on that subgraph.
     """
     n = a.n
     grid, den = a.scaled()
-    _, u, v = _assignment_min([[-x for x in row] for row in grid])
-    # grid[i][j] <= -u[i+1] - v[j+1] everywhere, equality == optimal support
-    tight = [
-        [j for j in range(n) if grid[i][j] + u[i + 1] + v[j + 1] == 0]
-        for i in range(n)
-    ]
+    _, u, v = _assignment_max(grid)
+    tight = [[j for j in range(n) if grid[i][j] == u[i] + v[j]] for i in range(n)]
     image = _lex_min_matching(tight)
     total = sum(grid[i][image[i]] for i in range(n))
-    return TraceReport(Fraction(total, den), Permutation(tuple(image), _trusted=True),
-                       "assignment")
+    return TraceReport(Fraction(total, den), _perm(image), "assignment")
 
 
 def max_trace_value(rows):
     """Maximum diagonal sum of a plain list-of-lists matrix (any ordered
     number type, e.g. floats); used for float-tier screening."""
-    neg = [[-x for x in row] for row in rows]
-    assign, _, _ = _assignment_min(neg)
+    assign, _, _ = _assignment_max(rows)
     return sum(rows[i][assign[i]] for i in range(len(rows)))
 
 

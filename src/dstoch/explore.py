@@ -172,17 +172,11 @@ def _census_block(d, x11s, zero_cell):
             roots.append(t[hit])
     rows = np.concatenate(rows)
     t = np.concatenate(roots)
-    x11, x12, x13 = x11[rows], x12[rows], x13[rows]
-    x21, x31 = x21[rows], x31[rows]
-    x23, x32, x33 = a[rows] - t, b[rows] - t, c[rows] + t
-    frob = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + t * t
-            + x23 * x23 + x31 * x31 + x32 * x32 + x33 * x33)
-    best = np.maximum.reduce([
-        x11 + t + x33, x11 + x23 + x32, x12 + x21 + x33,
-        x12 + x23 + x31, x13 + x21 + x32, x13 + t + x31,
-    ])
+    frob = k[rows] + linear[rows] * t + 4 * t * t
+    best = np.maximum.reduce([alpha[rows] + beta * t for alpha, beta in diagonals])
     sat = frob == d * best
-    cells = np.stack([x11[sat], x12[sat], x21[sat], t[sat]], axis=1)
+    rows, t = rows[sat], t[sat]
+    cells = np.stack([x11[rows], x12[rows], x21[rows], t], axis=1)
     return ds_count, [tuple(cell) for cell in cells.tolist()]
 
 
@@ -280,24 +274,34 @@ def search_products(n, max_parts, samples, seed):
 
 # ── float tier: Sinkhorn, reconstruction, probing ─────────────────────────
 
-def sinkhorn(x, tol=1e-12, max_iter=10000):
-    """Alternately normalize rows and columns until every row and column
-    sum is within tol of 1 (or max_iter passes)."""
+def sinkhorn(x):
+    """Balance a nonnegative matrix with no zero row or column: alternately
+    normalize rows and columns until every row sum is within 1e-12 of 1
+    (or 10,000 passes).
+
+    Only the rows need the test.  Each pass ends by dividing every column
+    by its own sum, and with no cancellation among nonnegative entries the
+    recomputed column sums are then within about n * 2^-52 of 1, far below
+    1e-12 at every order the probe runs.
+    """
     x = np.array(x, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(10000):
         x /= x.sum(axis=1, keepdims=True)
         x /= x.sum(axis=0, keepdims=True)
-        r = np.abs(x.sum(axis=1) - 1.0).max()
-        c = np.abs(x.sum(axis=0) - 1.0).max()
-        if max(r, c) < tol:
+        if np.abs(x.sum(axis=1) - 1.0).max() < 1e-12:
             break
     return x
 
 
 def snap_rational(x, max_den=10 ** 6, tol=1e-7):
-    """Smallest-denominator rational within tol of the float x, by walking
-    continued-fraction convergents; None if no denominator <= max_den
-    gets that close."""
+    """The first continued-fraction convergent of the float x within tol of
+    it, or None if the convergents' denominators pass max_den first.
+
+    This is not always the smallest-denominator rational within tol: an
+    intermediate fraction between two convergents can get there sooner.
+    For x = 0.0640314382269973 and tol = 0.0301 it returns 1/15, though
+    1/11 is within tol.
+    """
     f = Fraction(float(x))
     num, den = f.numerator, f.denominator
     hm2, km2, hm1, km1 = 0, 1, 1, 0
@@ -314,16 +318,17 @@ def snap_rational(x, max_den=10 ** 6, tol=1e-7):
         num, den = den, num - a * den
 
 
-def reconstruct_matrix(x, max_den=10 ** 6, tol=1e-7):
+def reconstruct_matrix(x, tol=1e-7):
     """Round a near-balanced float matrix to an exactly doubly stochastic
-    rational one: snap the leading (n-1) x (n-1) block with snap_rational,
-    then force the last column and row from the sum constraints.  None if
-    an entry refuses to snap or a forced entry comes out negative."""
+    rational one: snap the leading (n-1) x (n-1) block with snap_rational
+    (denominators up to its default 10^6, within tol), then force the last
+    column and row from the sum constraints.  None if an entry refuses to
+    snap or a forced entry comes out negative."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     rows = []
     for i in range(n - 1):
-        row = [snap_rational(cell, max_den, tol) for cell in x[i, :n - 1]]
+        row = [snap_rational(cell, tol=tol) for cell in x[i, :n - 1]]
         if None in row:
             return None
         rows.append(row + [1 - sum(row)])

@@ -121,74 +121,65 @@ class SplitMix64:
 
 # ── permutations ──────────────────────────────────────────────────────────
 
-class Permutation:
-    """A bijection on {0..n-1}, stored as the image tuple.
+class Permutation(tuple):
+    """A bijection on {0..n-1}: the tuple of its images, so p(i) == p[i] and
+    a Permutation equals the plain tuple of its image.
 
     `compose` follows matrix order: perm_matrix(p.compose(q)) equals
     perm_matrix(p) @ perm_matrix(q), i.e. (p.compose(q))(i) = q(p(i)).
     """
 
-    __slots__ = ("image",)
+    __slots__ = ()
 
-    def __init__(self, image, _trusted=False):
-        if not _trusted:  # internal callers pass int tuples built as bijections
-            image = tuple(int(i) for i in image)
-            if sorted(image) != list(range(len(image))):
-                raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
-        object.__setattr__(self, "image", image)
+    def __new__(cls, image):
+        image = tuple(int(i) for i in image)
+        if sorted(image) != list(range(len(image))):
+            raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
+        return super().__new__(cls, image)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    __call__ = tuple.__getitem__
+
+    @property
+    def image(self):
+        return tuple(self)
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(range(n)), _trusted=True)
+        return _perm(range(n))
 
     @classmethod
     def random(cls, n, rng):
         items = list(range(n))
         rng.shuffle(items)
-        return cls(tuple(items), _trusted=True)
-
-    def __call__(self, i):
-        return self.image[i]
-
-    def __len__(self):
-        return len(self.image)
-
-    def __iter__(self):
-        return iter(self.image)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __lt__(self, other):
-        return self.image < other.image
+        return _perm(items)
 
     def __repr__(self):
-        return f"Permutation({list(self.image)})"
+        return f"Permutation({list(self)})"
 
     def compose(self, other):
         """Apply self, then other (matrix product order)."""
         if len(self) != len(other):
             raise DomainError("size mismatch in composition")
-        return Permutation(tuple(other.image[i] for i in self.image), _trusted=True)
+        return _perm(other[i] for i in self)
 
     def inverse(self):
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation(tuple(inv), _trusted=True)
+        return _perm(inv)
+
+
+def _perm(image):
+    """The Permutation of an image that is a bijection by construction,
+    without the check."""
+    return tuple.__new__(Permutation, image)
 
 
 def all_permutations(n):
     """Yield every Permutation of order n in lexicographic order."""
     from itertools import permutations
     for image in permutations(range(n)):
-        yield Permutation(image, _trusted=True)
+        yield _perm(image)
 
 
 # ── matrices ──────────────────────────────────────────────────────────────

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge, Permutation,
-                     all_permutations, validate_ds)
+                     _perm, all_permutations, validate_ds)
 from . import diagsum
 
 _F = Fraction
@@ -125,8 +125,7 @@ def permutation_equivalent(a, b):
                 break
             q_img.append(avail.pop(0))
         else:
-            return (Permutation(p_img, _trusted=True),
-                    Permutation(tuple(q_img), _trusted=True))
+            return _perm(p_img), _perm(q_img)
     return None
 
 

@@ -127,7 +127,7 @@ class WeakFormParams:
 
 
 def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, (Fraction, _Surd)) else Fraction(x)
 
 
 def rational_sqrt(x):
@@ -175,12 +175,10 @@ def in_disc_e0(u, v):
 
 
 def in_ellipse(k, u, v, strict_interior=False):
-    """Solid ellipse E1, E2, or E3 (k in {1,2,3} or "E1".."E3"), exactly.
+    """Solid ellipse E1, E2, or E3 (k in {1, 2, 3}), exactly.
 
     strict_interior tests the open interior (boundary excluded).
     """
-    if isinstance(k, str):
-        k = {"E1": 1, "E2": 2, "E3": 3}.get(k, k)
     u, v = _q(u), _q(v)
     if k == 1:
         lhs = 25 * (u + _FIFTH) ** 2 + 15 * v * v
@@ -293,7 +291,7 @@ def _format_rows(u, v, w):
 
 def params_to_matrix(q):
     """Build the parametrized matrix for WeakFormParams (or a (u, v, w)
-    triple of exact rationals).
+    triple of exact rationals, w possibly the irrational root of solve_w).
 
     A rational w gives a validated DoublyStochastic, an irrational one the
     3 x 3 rows of its exact entries in Q(sqrt(disc)).  Raises
@@ -320,7 +318,8 @@ def matrix_to_params(a):
 
 
 def weak_residual(u, v, w):
-    """4w^2 + (2v-1)w + (3u^2 + 5v^2 - 2v - 3)/8, exactly.
+    """4w^2 + (2v-1)w + (3u^2 + 5v^2 - 2v - 3)/8, exactly, also for an
+    irrational w from solve_w (the residual is then in Q(sqrt(disc))).
 
     Equals ||A||_F^2 - tr(A) for the parametrized format, so it vanishes
     precisely on weak-form solutions with the zero cell at (2,1).
@@ -357,4 +356,4 @@ def trace_dominant(a):
     rows, _ = _order3_rows(a)
     tr = rows[0][0] + rows[1][1] + rows[2][2]
     return all(sum(rows[i][p(i)] for i in range(3)) <= tr
-               for p in all_permutations(3) if p.image != (0, 1, 2))
+               for p in all_permutations(3) if p != (0, 1, 2))

@@ -255,6 +255,28 @@ def test_probe_runs(capsys):
     assert payload["samples"] == 10
 
 
+# sha256 of the stdout of `ds probe --n N --samples 6 --seed SEED [--tol TOL]`;
+# each run has verified mixture or jitter candidates, so the bytes pin
+# Sinkhorn, the float assignment solver and the exact reconstruction
+PROBE_SHA256 = {
+    ("3", "24", None): "a5311f21abfa6ff97e75e681bd3397112bf3df1d97b8646bc65fd78f6b8e98dd",
+    ("3", "14", None): "ffebe7eba4e2a43adc5221f5c1cbccc149ccae614fbf342821b5834835f15430",
+    ("4", "25", None): "70b17e245bc899547321a8c4125a4534a6fd2330d695eaf97fbc7792728f3351",
+    ("5", "12", None): "0f9cae72e27461ca3916e8c42cc097833ef8ee5e4229c7be764b80b16f6db6e1",
+    ("4", "4", "0.05"): "d8690fc8d9705865f4c12767d9b14d52751c80fa0e663eebe2bb27d246d7d5ec",
+}
+
+
+@pytest.mark.parametrize("n, seed, tol", list(PROBE_SHA256))
+def test_probe_bytes_golden(capsys, n, seed, tol):
+    argv = ["probe", "--n", n, "--samples", "6", "--seed", seed]
+    if tol:
+        argv += ["--tol", tol]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_SHA256[n, seed, tol]
+
+
 def test_stdin_matrix(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(canonical("S"))))

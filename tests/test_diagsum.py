@@ -108,19 +108,20 @@ def test_assignment_agrees_with_brute_on_tie_heavy_inputs():
 
 
 def test_assignment_potentials_certify_optimality():
-    # duals dominate every entry and are tight on the reported argmax
-    from dstoch.diagsum import _assignment_min
+    # duals dominate every entry and are tight on the reported argmax, for
+    # Fraction rows, their integer grid and their floats
+    from dstoch.diagsum import _assignment_max
     rng = SplitMix64(5)
     for _ in range(50):
         n = rng.randint(2, 6)
         a = random_ds(n, n, seed=rng.next64())
-        neg = [[-x for x in row] for row in a.rows]
-        assign, u, v = _assignment_min(neg)
-        for i in range(n):
-            for j in range(n):
-                assert a.rows[i][j] + u[i + 1] + v[j + 1] <= 0
-        assert all(a.rows[i][assign[i]] + u[i + 1] + v[assign[i] + 1] == 0
-                   for i in range(n))
+        for weight, slack in ((a.rows, 0), (a.scaled()[0], 0), (a.to_floats(), 1e-12)):
+            assign, u, v = _assignment_max(weight)
+            for i in range(n):
+                for j in range(n):
+                    assert weight[i][j] <= u[i] + v[j] + slack
+            assert all(abs(weight[i][assign[i]] - u[i] - v[assign[i]]) <= slack
+                       for i in range(n))
 
 
 def test_max_diag_product_examples():

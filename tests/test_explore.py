@@ -235,6 +235,18 @@ def test_snap_rational_prefers_small_denominators():
     assert snap_rational(0.6180339887498949, tol=1e-15, max_den=100) is None
 
 
+def test_snap_rational_returns_the_first_convergent_within_tol():
+    # not the smallest-denominator rational within tol: 1/11 and 156/217
+    # are within tol, but the first convergent within tol is 1/15 in the
+    # first case and has a denominator above 400 in the second
+    x, tol = 0.0640314382269973, 0.030126765951571235
+    assert abs(F(1, 11) - F(x)) <= tol
+    assert snap_rational(x, max_den=400, tol=tol) == F(1, 15)
+    x, tol = 0.7188239240658031, 7.141294836112025e-05
+    assert abs(F(156, 217) - F(x)) <= tol
+    assert snap_rational(x, max_den=400, tol=tol) is None
+
+
 def test_reconstruct_matrix_recovers_r():
     noisy = np.array(canonical("R").to_floats()) + 2e-9
     rec = reconstruct_matrix(sinkhorn(noisy))

@@ -50,7 +50,6 @@ def test_ellipse_boundaries():
     assert in_ellipse(3, 0, 1) and not in_ellipse(3, 0, 1, strict_interior=True)
     assert in_ellipse(2, 1, 0) and not in_ellipse(2, 1, 0, strict_interior=True)
     assert in_ellipse(1, 0, 0, strict_interior=True)
-    assert in_ellipse("E1", 0, 0) == in_ellipse(1, 0, 0)
 
 
 def test_u_minus_membership():
@@ -178,6 +177,29 @@ def test_weak_residual_examples():
     assert weak_residual(0, F(-3, 5), 0) == 0
     assert weak_residual(0, 1, 0) == 0
     assert weak_residual(0, 0, 0) == F(-3, 8)
+
+
+def test_irrational_roots_take_the_triple_route():
+    # every irrational root on the 1/10 grid inside E0 zeroes the residual,
+    # and a (u, v, w) triple builds the same rows as its WeakFormParams
+    grid = [F(k, 10) for k in range(-11, 12)]
+    roots = feasible = 0
+    for u, v in itertools.product(grid, grid):
+        if not in_disc_e0(u, v) or rational_sqrt(7 - 6 * u * u - 6 * v * v) is not None:
+            continue
+        for sign in ("minus", "plus"):
+            params = solve_w(u, v, sign)
+            assert not params.exact and weak_residual(u, v, params.w) == 0
+            roots += 1
+            try:
+                rows = params_to_matrix(params)
+            except NotDoublyStochastic:
+                continue
+            feasible += 1
+            assert params_to_matrix((u, v, params.w)) == rows
+    assert (roots, feasible) == (618, 67)
+    params = solve_w(0, F(-21, 20), "minus")
+    assert params_to_matrix((0, F(-21, 20), params.w)) == params_to_matrix(params)
 
 
 def test_residual_equals_frobenius_minus_trace():
