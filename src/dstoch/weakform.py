@@ -108,9 +108,9 @@ class _Surd:
         a, b = (self.a - y.a, self.b - y.b) if isinstance(y, _Surd) else (self.a - y, self.b)
         if not b:
             return a < 0
-        # the part with the larger square carries the sign: a^2 = b^2 d is
-        # impossible for d not a rational square
-        return b < 0 if a * a < b * b * self.d else a < 0
+        # b carries the sign unless a opposes it with the larger square
+        # (a^2 = b^2 d is impossible for d not a rational square)
+        return a < 0 if a and (a < 0) != (b < 0) and a * a > b * b * self.d else b < 0
 
     def __str__(self):
         return f"{self.a} {'-' if self.b < 0 else '+'} {abs(self.b)}*sqrt({self.d})"

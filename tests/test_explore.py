@@ -13,6 +13,7 @@ from dstoch import (
     DomainError,
     DoublyStochastic,
     EnumerationReport,
+    OrderTooLarge,
     Permutation,
     RatMatrix,
     SplitMix64,
@@ -35,7 +36,7 @@ from dstoch import (
     snap_rational,
     validate_ds,
 )
-from dstoch.explore import DENOMINATOR_CAP
+from dstoch.explore import ASYMMETRY_CAP, DENOMINATOR_CAP
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -388,3 +389,32 @@ def test_check_asymmetry_matches_double_scan():
     verdicts = [check_asymmetry(a) for a in inputs]
     assert verdicts == [_reference_asymmetry(a) for a in inputs]
     assert any(verdicts) and not all(verdicts)
+
+
+def _line_multisets(rows):
+    return sorted(sorted(line) for line in rows)
+
+
+def test_check_asymmetry_at_order_8():
+    rng = SplitMix64(808)
+    n = ASYMMETRY_CAP
+    assert n == 8
+    # P S Q of a symmetric S is never asymmetric; for S J, with J the
+    # reversal, the symmetrizing R = J is the scan's last permutation
+    reverse = Permutation(list(range(n))[::-1])
+    for k in (3, 5):
+        a = random_ds(n, k, seed=rng.next64())
+        sym = validate_ds(RatMatrix([[(x + y) / 2 for x, y in zip(r, c)]
+                                     for r, c in zip(a.rows, a.transpose().rows)]))
+        p = perm_matrix(Permutation.random(n, rng))
+        q = perm_matrix(Permutation.random(n, rng))
+        assert not check_asymmetry(validate_ds(p @ sym @ q))
+        assert not check_asymmetry(validate_ds(sym @ perm_matrix(reverse)))
+    # a symmetric P A Q has equal row and column multisets of multisets,
+    # and P, Q keep both, so unequal ones certify asymmetry independently
+    for k in (6, 8, 12):
+        a = random_ds(n, k, seed=rng.next64())
+        assert _line_multisets(a.rows) != _line_multisets(a.transpose().rows)
+        assert check_asymmetry(a)
+    with pytest.raises(OrderTooLarge):
+        check_asymmetry(make_jn(n + 1))

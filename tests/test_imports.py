@@ -1,0 +1,96 @@
+"""Start-up cost: the exact verbs run without numpy or the thread pool.
+
+Each check runs in a fresh interpreter, so the modules that the test
+session has already imported do not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from dstoch import canonical, random_ds, write_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs every argv in ARGVS through dstoch.cli.main and prints one JSON
+# line: each run's stdout and exit code, and which of numpy and
+# concurrent.futures ended up loaded.  With BLOCK set, numpy is poisoned
+# first, so any attempt to import it raises.
+SCRIPT = """
+import contextlib, io, json, sys
+if BLOCK:
+    sys.modules["numpy"] = None
+import dstoch.cli
+runs = []
+for argv in ARGVS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dstoch.cli.main(argv)
+    runs.append([out.getvalue(), code])
+loaded = {name: sys.modules.get(name) is not None
+          for name in ("numpy", "concurrent.futures")}
+print(json.dumps({"runs": runs, "loaded": loaded}))
+"""
+
+
+def _run(argvs, block):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = f"BLOCK = {block!r}\nARGVS = {argvs!r}\n" + SCRIPT
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _exact_argvs(tmp_path):
+    files = {"R": canonical("R"), "T": canonical("T"),
+             "mix": random_ds(4, 3, seed=17), "zero21": canonical("I1_J2")}
+    paths = {}
+    for name, m in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(write_matrix(m))
+    half = str(tmp_path / "half.json")
+    Path(half).write_text('{"n":2,"rows":[["1/2","1/2"],["1/2","1/3"]]}')
+    return [
+        ["check", paths["mix"]],
+        ["check", half],
+        ["gap", paths["R"]],
+        ["gap", paths["mix"]],
+        ["classify", paths["T"]],
+        ["classify", paths["mix"]],
+        ["maxtrace", paths["mix"], "--method", "brute"],
+        ["maxtrace", paths["mix"], "--method", "assignment"],
+        ["maxprod", paths["mix"]],
+        ["permanent", paths["mix"]],
+        ["params", paths["zero21"]],
+        ["region", "--u", "0", "--v", "-3/5"],
+        ["boundary", "--min", "-1", "--max", "1", "--step", "0.5"],
+        ["canonical", "--name", "S"],
+        ["canonical", "--name", "Tn:5"],
+        ["construct", "--u", "0", "--v", "-3/5", "--sign", "minus"],
+        ["construct", "--u", "0", "--v", "-21/20", "--sign", "minus"],
+        ["products", "--n", "5", "--samples", "3", "--seed", "4"],
+    ]
+
+
+def test_exact_verbs_run_without_numpy_or_thread_pool(tmp_path):
+    argvs = _exact_argvs(tmp_path)
+    blocked, free = _run(argvs, True), _run(argvs, False)
+    assert blocked["runs"] == free["runs"]
+    assert {code for _, code in free["runs"]} == {0, 1}
+    # the irrational root is decided exactly and printed as doubles
+    assert json.loads(free["runs"][-2][0])["exact"] is False
+    assert blocked["loaded"] == {"numpy": False, "concurrent.futures": False}
+    assert free["loaded"] == {"numpy": False, "concurrent.futures": False}
+
+
+def test_probe_and_enumerate_load_numpy_on_demand():
+    probe = _run([["probe", "--n", "3", "--samples", "4", "--seed", "1"]], False)
+    assert probe["loaded"]["numpy"] and [code for _, code in probe["runs"]] == [0]
+    census = _run([["--threads", "2", "enumerate", "--denominator", "6"]], False)
+    assert census["loaded"] == {"numpy": True, "concurrent.futures": True}
+    assert [code for _, code in census["runs"]] == [0]

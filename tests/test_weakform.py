@@ -4,6 +4,7 @@ the weak-form residual."""
 import ast
 import itertools
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from dstoch import (
     weak_residual,
     weak_saturation_check,
 )
+from dstoch.weakform import _Surd
 
 GRID_40 = [F(k, 40) for k in range(-48, 49)]  # [-6/5, 6/5] step 1/40
 
@@ -392,6 +394,35 @@ def test_exact_root_matches_squaring_oracle_on_the_40_grid():
                 assert trace_dominant(m) == dominant, (u, v, sign)
                 checked += 1
     assert checked > 1000
+
+
+def test_surd_order_matches_squaring_oracle():
+    # a = 0, both signs of b, same and mixed signs, and equal b parts, on
+    # seeded Fractions; the reference squares every case
+    rng = random.Random(909)
+    small = [F(k, m) for k in range(-6, 7) for m in (1, 2, 3, 7)]
+    ds = sorted({F(p, q) for p in range(1, 40) for q in range(1, 6)
+                 if rational_sqrt(F(p, q)) is None})
+    cases = set()
+    for _ in range(4000):
+        d = rng.choice(ds)
+        x = _Surd(rng.choice(small), rng.choice([b for b in small if b]), d)
+        ya = rng.choice(small)
+        yb = rng.choice([0, x.b] + small)
+        y = ya if yb == 0 else _Surd(ya, yb, d)
+        a, b = x.a - ya, x.b - yb
+        expected = a < 0 if b == 0 else not _surd_nonneg(a, b, d)
+        assert (x < y) == expected, (x, y)
+        assert (x > y) == (not expected and (a, b) != (0, 0)), (x, y)
+        if b == 0:
+            cases.add("b=0")
+        else:
+            kind = "a=0" if a == 0 else "same" if (a < 0) == (b < 0) else "mixed"
+            cases.add((kind, b > 0))
+    assert cases == {"b=0"} | {(kind, pos) for kind in ("a=0", "same", "mixed")
+                               for pos in (False, True)}
+    assert _Surd(F(0), F(1), F(2)) > 0 > _Surd(F(0), F(-1), F(2))
+    assert _Surd(F(-3, 2), F(1), F(2)) < 0 < _Surd(F(-1), F(1), F(2))
 
 
 # rational points on the region boundaries, and the double nearest the
