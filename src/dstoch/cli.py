@@ -15,7 +15,6 @@ import sys
 
 from .ratmat import (DomainError, OrderTooLarge, ParseError, make_jn, make_tn,
                      matrix_payload, parse_rational, read_matrix, validate_ds)
-from . import diagsum, explore, saturation, weakform
 
 CANONICAL_CAP = 512  # largest order of `canonical --name Tn:<n>` / `Jn:<n>`
 
@@ -41,6 +40,8 @@ def _threads(args):
 
 
 # ── subcommand handlers ───────────────────────────────────────────────────
+# Each handler imports the module it calls, so a `ds` process loads only
+# the modules of its verb; ratmat stays at the top for main's error types.
 
 def cmd_check(args):
     m = validate_ds(read_matrix(args.matrix))
@@ -48,12 +49,14 @@ def cmd_check(args):
 
 
 def cmd_gap(args):
+    from . import diagsum
     report = diagsum.marcus_ree_gap(validate_ds(read_matrix(args.matrix)))
     _emit({"frob_sq": str(report.frob_sq), "max_trace": str(report.max_trace),
            "gap": str(report.gap), "saturated": report.saturated})
 
 
 def cmd_maxtrace(args):
+    from . import diagsum
     m = read_matrix(args.matrix)
     if args.method == "brute":
         report = diagsum.max_trace_brute(m)
@@ -64,15 +67,18 @@ def cmd_maxtrace(args):
 
 
 def cmd_permanent(args):
+    from . import diagsum
     _emit({"permanent": str(diagsum.permanent(read_matrix(args.matrix)))})
 
 
 def cmd_maxprod(args):
+    from . import diagsum
     value, perm = diagsum.max_diag_product(read_matrix(args.matrix))
     _emit({"max_product": str(value), "argmax": _perm_json(perm)})
 
 
 def cmd_classify(args):
+    from . import saturation
     m = validate_ds(read_matrix(args.matrix))
     if m.n == 2:
         _emit({"saturated": saturation.classify2(m)})
@@ -86,6 +92,7 @@ def cmd_classify(args):
 
 
 def cmd_region(args):
+    from . import weakform
     u, v = parse_rational(args.u), parse_rational(args.v)
     _emit({"E0": weakform.in_disc_e0(u, v),
            "E1": weakform.in_ellipse(1, u, v),
@@ -96,6 +103,7 @@ def cmd_region(args):
 
 
 def cmd_boundary(args):
+    from . import weakform
     rows = weakform.boundary_curves(args.min, args.max, args.step)
     if args.csv:
         sys.stdout.write(weakform.boundary_csv(rows))
@@ -104,12 +112,14 @@ def cmd_boundary(args):
 
 
 def cmd_params(args):
+    from . import weakform
     m = validate_ds(read_matrix(args.matrix))
     u, v, w = weakform.matrix_to_params(m)
     _emit({"u": str(u), "v": str(v), "w": str(w)})
 
 
 def cmd_construct(args):
+    from . import weakform
     u, v = parse_rational(args.u), parse_rational(args.v)
     params = weakform.solve_w(u, v, args.sign)
     payload = {"u": str(u), "v": str(v), "sign": args.sign, "exact": params.exact}
@@ -133,6 +143,7 @@ def cmd_construct(args):
 
 
 def cmd_enumerate(args):
+    from . import explore
     zero_cell = None
     if args.zero_cell:
         try:
@@ -158,6 +169,7 @@ def _spec_json(spec):
 
 
 def cmd_products(args):
+    from . import explore
     probes = explore.search_products(args.n, args.max_parts, args.samples,
                                      args.seed)
     out = []
@@ -175,6 +187,7 @@ def cmd_products(args):
 
 
 def cmd_probe(args):
+    from . import explore
     report = explore.rationality_probe(args.n, args.samples, args.seed,
                                        tol=args.tol)
     out = []
@@ -188,6 +201,7 @@ def cmd_probe(args):
 
 
 def cmd_canonical(args):
+    from . import saturation
     name = args.name
     if name[:3] in ("Tn:", "Jn:"):
         try:

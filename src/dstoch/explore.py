@@ -410,15 +410,19 @@ def check_asymmetry(a):
     P a Q = (P a Q)^T is equivalent to a R = (a R)^T for R = Q P (multiply
     by P^T on the left and P on the right), and R = Q with P = I gives the
     converse, so it suffices to scan the single permutations R.
-    Exhaustive exact scan: factorial in n, refused above ASYMMETRY_CAP.
+    Exhaustive exact scan on the integer grid (one common denominator):
+    factorial in n, refused above ASYMMETRY_CAP.
     """
     n = a.n
     if n > ASYMMETRY_CAP:
         raise OrderTooLarge(n, ASYMMETRY_CAP, "symmetry scan")
-    rows = a.rows
+    rows = a.scaled()[0]
+    pairs = list(itertools.combinations(range(n), 2))
     for c in itertools.permutations(range(n)):
         # entry (i, j) of a R is rows[i][c[j]]
-        if all(rows[i][c[j]] == rows[j][c[i]]
-               for i in range(n) for j in range(i + 1, n)):
+        for i, j in pairs:
+            if rows[i][c[j]] != rows[j][c[i]]:
+                break
+        else:
             return False
     return True

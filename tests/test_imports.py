@@ -1,6 +1,7 @@
-"""Start-up cost: the exact verbs run without numpy or the thread pool.
+"""Start-up cost: the exact verbs run without numpy or the thread pool, and
+each verb loads only the dstoch modules it calls.
 
-Each check runs in a fresh interpreter, so the modules that the test
+The load checks run in a fresh interpreter, so the modules that the test
 session has already imported do not count.
 """
 
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dstoch.diagsum
 from dstoch import canonical, random_ds, write_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,15 +37,19 @@ print(json.dumps({"runs": runs, "loaded": loaded}))
 """
 
 
-def _run(argvs, block):
+def _fresh(code):
+    """Run code in a fresh interpreter and parse the JSON it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = f"BLOCK = {block!r}\nARGVS = {argvs!r}\n" + SCRIPT
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _run(argvs, block):
+    return _fresh(f"BLOCK = {block!r}\nARGVS = {argvs!r}\n" + SCRIPT)
 
 
 def _exact_argvs(tmp_path):
@@ -94,3 +100,89 @@ def test_probe_and_enumerate_load_numpy_on_demand():
     census = _run([["--threads", "2", "enumerate", "--denominator", "6"]], False)
     assert census["loaded"] == {"numpy": True, "concurrent.futures": True}
     assert [code for _, code in census["runs"]] == [0]
+
+
+# An argv (MATRIX stands for a file holding T) and the modules it loads
+# besides dstoch, dstoch.cli and dstoch.ratmat; "--help" stops in argparse
+# before any handler runs.
+VERB_MODULES = [
+    (["check", "MATRIX"], set()),
+    (["gap", "MATRIX"], {"diagsum"}),
+    (["classify", "MATRIX"], {"saturation", "diagsum"}),
+    (["region", "--u", "0", "--v", "-3/5"], {"weakform"}),
+    (["--help"], set()),
+]
+
+# Runs ARGV through dstoch.cli.main and prints the exit code and the
+# dstoch modules loaded at the end.
+VERB_SCRIPT = """
+import contextlib, io, json, sys
+import dstoch.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = dstoch.cli.main(ARGV)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "dstoch")]))
+"""
+
+# Imports dstoch alone, then resolves every public name, then an unknown
+# one; prints what each step found.
+NAMES_SCRIPT = """
+import importlib, json, sys
+import dstoch
+bare = sorted(m for m in sys.modules if m.startswith("dstoch."))
+wrong, cached = [], []
+for name, module in dstoch._HOME.items():
+    home = importlib.import_module("dstoch." + module)
+    if getattr(dstoch, name) is not (home if name == module else getattr(home, name)):
+        wrong.append(name)
+    if name != module and name in vars(dstoch):
+        cached.append(name)
+star = {}
+exec("from dstoch import *", star)
+star.pop("__builtins__")
+try:
+    dstoch.no_such_name
+    error = None
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({"bare": bare, "wrong": wrong, "cached": cached,
+                  "star": sorted(star), "all": list(dstoch.__all__),
+                  "dir": dir(dstoch), "error": error}))
+"""
+
+
+def test_each_verb_loads_only_its_modules(tmp_path):
+    path = tmp_path / "T.json"
+    path.write_text(write_matrix(canonical("T")))
+    for argv, extra in VERB_MODULES:
+        argv = [str(path) if a == "MATRIX" else a for a in argv]
+        code, loaded = _fresh(f"ARGV = {argv!r}\n" + VERB_SCRIPT)
+        assert code == 0, argv
+        assert loaded == sorted({"dstoch", "dstoch.cli", "dstoch.ratmat"}
+                                | {f"dstoch.{m}" for m in extra}), argv
+
+
+def test_package_names_resolve_lazily_to_their_home_module():
+    out = _fresh(NAMES_SCRIPT)
+    assert out["bare"] == []
+    assert out["wrong"] == [] and out["cached"] == []
+    # the 73 names a star import bound when the package imported eagerly
+    assert len(out["all"]) == len(set(out["all"])) == 73
+    assert out["star"] == sorted(out["all"])
+    assert {"ratmat", "diagsum", "saturation", "weakform", "explore",
+            "marcus_ree_gap", "classify3"} <= set(out["all"])
+    assert set(out["all"]) <= set(out["dir"])
+    assert "no_such_name" in out["error"]
+
+
+def test_package_names_follow_patches_of_their_home_module(monkeypatch):
+    def patched(a):
+        return "patched"
+
+    monkeypatch.setattr(dstoch.diagsum, "permanent", patched)
+    assert dstoch.permanent is patched
+    monkeypatch.undo()
+    assert dstoch.permanent is dstoch.diagsum.permanent is not patched
