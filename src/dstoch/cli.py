@@ -201,7 +201,6 @@ def cmd_probe(args):
 
 
 def cmd_canonical(args):
-    from . import saturation
     name = args.name
     if name[:3] in ("Tn:", "Jn:"):
         try:
@@ -213,8 +212,8 @@ def cmd_canonical(args):
             raise OrderTooLarge(n, CANONICAL_CAP, f"canonical {name[:2]}")
         m = make_tn(n) if name[0] == "T" else make_jn(n)
     else:
-        tag = {"I1J2": "I1_J2"}.get(name, name)
-        m = saturation.canonical(tag)
+        from . import saturation
+        m = saturation.canonical({"I1J2": "I1_J2"}.get(name, name))
     _emit(matrix_payload(m))
 
 

@@ -16,8 +16,8 @@ in exact rational arithmetic:
     doubly stochastic A and whose vanishing ("saturation") is the
     classification problem handled in `saturation`.
 
-Reported argmax permutations are always the lexicographically smallest
-optimum, so outputs are fully deterministic.
+Reported argmax permutations are the lexicographically smallest optimum
+(the solver reaches it from its own matching by tight alternating paths).
 """
 
 import itertools
@@ -58,7 +58,8 @@ def diagonal_sum(a, p):
     """sum_i a[i, p(i)] for a permutation p of matching order."""
     if len(p) != a.n:
         raise DomainError(f"permutation order {len(p)} != matrix order {a.n}")
-    return sum(a.rows[i][p(i)] for i in range(a.n))
+    grid, den = a.scaled()
+    return Fraction(sum(grid[i][p(i)] for i in range(a.n)), den)
 
 
 def max_trace_brute(a):
@@ -161,44 +162,40 @@ def _assignment_max(weight):
     return assign, u[1:], v[1:]
 
 
-def _matchable(adj, start, used):
-    """Can rows start..n-1 all be matched into columns not in `used`?"""
-    match_col = {}
-
-    def augment(r, seen):
-        for c in adj[r]:
-            if used[c] or c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or augment(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in range(start, len(adj)):
-        if not augment(r, set()):
-            return False
-    return True
-
-
-def _lex_min_matching(adj):
-    """Lexicographically smallest perfect matching of a bipartite graph
-    given as ascending adjacency lists (one per row)."""
-    n = len(adj)
-    used = [False] * n
-    image = []
-    for i in range(n):
-        for j in adj[i]:
-            if used[j]:
-                continue
-            used[j] = True
-            if _matchable(adj, i + 1, used):
-                image.append(j)
+def _lex_min_matching(adj, match):
+    """Lexicographically smallest perfect matching of the bipartite graph
+    adj (ascending column lists, one per row), from its perfect matching
+    match (match[i] the column of row i).  Row by row, row i takes the
+    first column j not held by an earlier row whose row reaches a row
+    adjacent to i's column by an alternating path through later rows;
+    rotating the path frees j for i."""
+    match = list(match)
+    owner = sorted(range(len(match)), key=match.__getitem__)  # row of column
+    for i, row in enumerate(adj):
+        target = match[i]
+        for j in row:
+            if j == target:
                 break
-            used[j] = False
-        else:
-            raise AssertionError("graph lost its perfect matching")
-    return image
+            if owner[j] < i:
+                continue
+            prev, queue = {j: None}, [j]  # breadth-first over columns
+            for c in queue:
+                cols = adj[owner[c]]
+                if target in cols:
+                    break
+                for c2 in cols:
+                    if c2 not in prev and owner[c2] > i:
+                        prev[c2] = c
+                        queue.append(c2)
+            else:
+                continue
+            while c is not None:  # owner[c] takes target, and so on back
+                r = owner[c]
+                match[r], owner[target] = target, r
+                target, c = c, prev[c]
+            match[i], owner[j] = j, i
+            break
+    return match
 
 
 def max_trace_assignment(a):
@@ -208,13 +205,14 @@ def max_trace_assignment(a):
     polynomial: one `_assignment_max` solve on the integer grid of
     `a.scaled()` gives potentials with grid[i][j] <= u[i] + v[j], every
     optimal permutation lives on the tight edges where equality holds, and
-    the lex smallest one is found by greedy matching on that subgraph.
+    the lex smallest one is found on that subgraph by `_lex_min_matching`,
+    starting from the solver's own assignment, which is tight.
     """
     n = a.n
     grid, den = a.scaled()
-    _, u, v = _assignment_max(grid)
+    assign, u, v = _assignment_max(grid)
     tight = [[j for j in range(n) if grid[i][j] == u[i] + v[j]] for i in range(n)]
-    image = _lex_min_matching(tight)
+    image = _lex_min_matching(tight, assign)
     total = sum(grid[i][image[i]] for i in range(n))
     return TraceReport(Fraction(total, den), _perm(image), "assignment")
 

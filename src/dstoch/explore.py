@@ -10,9 +10,10 @@ Four harnesses:
     of each triple form an interval (counted in closed form) and
     saturation at each of the six diagonals is an integer quadratic in x22
     (solved exactly).  That is O(d^3) work instead of a sweep over the
-    (d+1)^4 grid.  Vectorized with int64 numpy; the largest intermediate,
-    the discriminant, is O(d^2), so nothing comes near 2^53 for
-    d <= DENOMINATOR_CAP.
+    (d+1)^4 grid.  A census with a zero cell is one x11 = 0 slice, O(d^2),
+    mapped onto the cell by a row and a column swap.  Vectorized with
+    int64 numpy; the largest intermediate, the discriminant, is O(d^2), so
+    nothing comes near 2^53 for d <= DENOMINATOR_CAP.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -112,19 +113,18 @@ class ProbeReport:
 
 # ── exhaustive grid census ────────────────────────────────────────────────
 
-def _census_block(d, x11s, zero_cell):
+def _census_block(d, x11s):
     """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
 
     With (x11, x12, x21) fixed and t = x22 free, the sums force
     x13 = d - x11 - x12 and x31 = d - x11 - x21, and x23 = a - t,
     x32 = b - t, x33 = c + t with a = d - x21, b = d - x12 and
     c = x11 + x12 + x21 - d.  The doubly stochastic t form the interval
-    [max(0, -c), min(a, b)]; a zero cell on x22, x23, x32 or x33 pins t,
-    one on another cell keeps or drops the whole triple.  In integer units
-    d^2 ||A||^2 = K + 2 (c - a - b) t + 4 t^2 and each diagonal sum is
-    alpha + beta t, so saturation at a diagonal is an integer quadratic in
-    t.  Its integer roots inside the interval are the only candidates;
-    each is re-checked exactly against the maximal diagonal.
+    [max(0, -c), min(a, b)].  In integer units d^2 ||A||^2 =
+    K + 2 (c - a - b) t + 4 t^2 and each diagonal sum is alpha + beta t, so
+    saturation at a diagonal is an integer quadratic in t.  Its integer
+    roots inside the interval are the only candidates; each is re-checked
+    exactly against the maximal diagonal.
     """
     import numpy as np
     x11s = np.asarray(x11s, dtype=np.int64)
@@ -137,15 +137,6 @@ def _census_block(d, x11s, zero_cell):
     a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
     lo = np.maximum(0, -c)
     hi = np.minimum(a, b)
-    if zero_cell is not None:
-        pins = {(1, 1): 0, (1, 2): a, (2, 1): b, (2, 2): -c}
-        if zero_cell in pins:
-            lo = np.maximum(lo, pins[zero_cell])
-            hi = np.minimum(hi, pins[zero_cell])
-        else:
-            cell = {(0, 0): x11, (0, 1): x12, (0, 2): x13, (1, 0): x21,
-                    (2, 0): x31}[zero_cell]
-            hi = np.where(cell == 0, hi, -1)
     ds_count = int(np.maximum(hi - lo + 1, 0).sum())
     if ds_count == 0:
         return 0, []
@@ -185,8 +176,12 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     (1/denominator) * Z; classifies every saturating one.
 
     zero_cell, if given as (i, j), restricts the census to matrices whose
-    (i, j) entry is 0.  threads parallelizes over blocks of x11 slices (the
-    report is identical for every thread count).
+    (i, j) entry is 0.  Swapping rows 0 <-> i and columns 0 <-> j maps the
+    doubly stochastic grid points with a zero at (0, 0) one-to-one onto
+    those with a zero at (i, j) and keeps the Frobenius norm and the set of
+    diagonal sums, hence saturation: that census is the x11 = 0 slice,
+    mapped, in the calling thread.  Otherwise threads parallelizes over
+    blocks of x11 slices (the report is identical for every thread count).
 
     total_candidates is the size (d+1)^4 of the grid the census covers,
     not the number of points scanned: the kernel solves for the saturating
@@ -208,26 +203,29 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     # hand-offs; a pass's int64 arrays are what a thread holds at once, so
     # passes shrink as (d + 1)^2 grows, to one slice from d = 122 on.
     step = max(1, 8 * 61 ** 2 // (d + 1) ** 2)
-    blocks = [range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
-    if threads > 1:
+    blocks = [range(1)] if zero_cell is not None else [
+        range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
+    if threads > 1 and zero_cell is None:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            passes = list(pool.map(lambda b: _census_block(d, b, zero_cell),
-                                   blocks))
+            passes = list(pool.map(lambda b: _census_block(d, b), blocks))
     else:
-        passes = [_census_block(d, b, zero_cell) for b in blocks]
+        passes = [_census_block(d, b) for b in blocks]
     ds_count = sum(c for c, _ in passes)
     # a point can be a root at more than one diagonal
-    cells = sorted({cell for _, found in passes for cell in found})
-    saturating = []
-    for x11, x12, x21, x22 in cells:
-        rows = [[Fraction(x11, d), Fraction(x12, d), Fraction(d - x11 - x12, d)],
-                [Fraction(x21, d), Fraction(x22, d), Fraction(d - x21 - x22, d)],
-                [Fraction(d - x11 - x21, d), Fraction(d - x12 - x22, d),
-                 Fraction(x11 + x12 + x21 + x22 - d, d)]]
-        m = DoublyStochastic(rows)
-        saturating.append((m, classify3(m)))
-    return EnumerationReport(d, (d + 1) ** 4, ds_count, tuple(saturating))
+    grids = [[[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
+              [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
+             for x11, x12, x21, x22 in {c for _, found in passes for c in found}]
+    if zero_cell is not None:
+        i, j = zero_cell
+        r, c = [i, 1, 2], [j, 1, 2]
+        r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
+        grids = [[[g[a][b] for b in c] for a in r] for g in grids]
+    # row-major order of the rows is the order of (x11, x12, x21, x22)
+    found = [DoublyStochastic([[Fraction(x, d) for x in row] for row in g])
+             for g in sorted(grids)]
+    return EnumerationReport(d, (d + 1) ** 4, ds_count,
+                             tuple((m, classify3(m)) for m in found))
 
 
 # ── block-J products ──────────────────────────────────────────────────────

@@ -15,6 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 # ── errors ────────────────────────────────────────────────────────────────
@@ -223,13 +224,11 @@ class RatMatrix:
     def __matmul__(self, other):
         if not isinstance(other, RatMatrix) or self.n != other.n:
             return NotImplemented
-        n = self.n
-        cols = list(zip(*other.rows))
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self.rows
-        ]
-        return RatMatrix(rows)
+        ga, da = self.scaled()
+        gb, db = other.scaled()
+        cols = list(zip(*gb))
+        return RatMatrix([[Fraction(sum(map(mul, row, col)), da * db)
+                           for col in cols] for row in ga])
 
     def transpose(self):
         return RatMatrix(zip(*self.rows))

@@ -223,6 +223,29 @@ def test_enumerate_d60_bytes_golden(capsys, threads, zero_cell):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_60_SHA256[zero_cell]
 
 
+# sha256 of the stdout of `ds --threads 1 enumerate --denominator 60
+# --zero-cell I,J` for the other eight cells, as the slice-by-slice census
+# with a per-cell mask printed it
+ZERO_CELL_60_SHA256 = {
+    "0,0": "8f5def1f04cc602750c106c5fa46dcb9a1359d27e67ec202822639c1be68c4e1",
+    "0,1": "a5909677c8f0ddd36677c02569941e3630ba9084bdc75ff3aaf401ca0d4ef25f",
+    "0,2": "3ddf9f178ac665a06b683b0deda0e700b78adf16d2db676fe6a98760e2bc6f57",
+    "1,0": "92e8c9f043f83cb746ad7ed428453606bdd112789928a03d173f73443a003fff",
+    "1,1": "494e23fdbefa879ae7eb7adbee0e8c9a509eb7a16dc3f8464f78088f29ee4050",
+    "1,2": "712700649e760f81bfd36fc750ba7ef40560e3abfd157997a03f2517194d5d78",
+    "2,0": "b4d8ec5b56af9204db95c8b7152ede7cc058526825d61d1eb0b84e8bf3136317",
+    "2,2": "1a27ed8eaa74f2df32b06f4e2dcb6038bfdc473d93b53e93fe89d50521e5fbfd",
+}
+
+
+@pytest.mark.parametrize("zero_cell", sorted(ZERO_CELL_60_SHA256))
+def test_enumerate_d60_zero_cell_bytes_golden(capsys, zero_cell):
+    code, out, _ = run(capsys, "--threads", "1", "enumerate",
+                       "--denominator", "60", "--zero-cell", zero_cell)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZERO_CELL_60_SHA256[zero_cell]
+
+
 @pytest.mark.parametrize("zero_cell", ["5", "a,b"])
 def test_enumerate_bad_zero_cell_exits_2(capsys, zero_cell):
     code, out, err = run(capsys, "enumerate", "--denominator", "2",

@@ -28,6 +28,7 @@ from dstoch import (
     random_ds,
     validate_ds,
 )
+from dstoch.diagsum import BRUTE_CAP
 
 S = canonical("S")
 T = canonical("T")
@@ -122,6 +123,53 @@ def test_assignment_potentials_certify_optimality():
                     assert weight[i][j] <= u[i] + v[j] + slack
             assert all(abs(weight[i][assign[i]] - u[i] - v[assign[i]]) <= slack
                        for i in range(n))
+
+
+def test_lex_min_matching_from_every_start_is_the_lex_first():
+    # seeded random bipartite graphs with a planted perfect matching; the
+    # brute-force lex-first matching is the first permutation on the graph
+    from dstoch.diagsum import _lex_min_matching
+    rng = SplitMix64(11)
+    starts = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        planted = Permutation.random(n, rng)
+        density = rng.randint(0, 4)
+        adj = [sorted({planted(i)} | {j for j in range(n) if rng.below(4) < density})
+               for i in range(n)]
+        perfect = [list(p) for p in itertools.permutations(range(n))
+                   if all(p[i] in adj[i] for i in range(n))]
+        for start in perfect:
+            before = list(start)
+            assert _lex_min_matching(adj, start) == perfect[0], (adj, start)
+            assert start == before  # the start is not modified
+        starts += len(perfect)
+    assert starts > 5_000
+
+
+def _lex_first_derangement(n):
+    image = [k ^ 1 for k in range(n)]
+    if n % 2:
+        image[-3:] = [n - 2, n - 1, n - 3]
+    return image
+
+
+def test_lex_first_derangement_rule_matches_brute():
+    for n in range(2, 9):
+        first = next(p for p in itertools.permutations(range(n))
+                     if all(p[i] != i for i in range(n)))
+        assert _lex_first_derangement(n) == list(first)
+
+
+@pytest.mark.parametrize("n", [11, 12, 33, 64, 65, 127, 128])
+def test_assignment_argmax_on_flat_forms_beyond_brute(n):
+    # J_n ties on every diagonal; T_n = (J - I)/(n - 1) on every derangement
+    assert n > BRUTE_CAP
+    jn = max_trace_assignment(make_jn(n))
+    assert jn.argmax == Permutation.identity(n) and jn.max_value == 1
+    tn = max_trace_assignment(make_tn(n))
+    assert list(tn.argmax) == _lex_first_derangement(n)
+    assert tn.max_value == F(n, n - 1)
 
 
 def test_max_diag_product_examples():

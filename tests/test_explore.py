@@ -149,6 +149,28 @@ def test_enumerate_matches_full_grid_sweep(zero_cell):
                                   threads=threads) == expected, (d, threads)
 
 
+@pytest.fixture(scope="module")
+def census_60():
+    return enumerate_grid(60, threads=1)
+
+
+def _zero_slice_count(d):
+    """DS points of the x11 = 0 slice: with x12, x21 fixed, x22 runs over
+    [max(0, d - x12 - x21), min(d - x12, d - x21)]."""
+    return sum(max(0, min(d - x12, d - x21) - max(0, d - x12 - x21) + 1)
+               for x12 in range(d + 1) for x21 in range(d + 1))
+
+
+@pytest.mark.parametrize("zero_cell", ZERO_CELLS[1:])
+def test_enumerate_zero_cell_is_the_filtered_census(census_60, zero_cell):
+    i, j = zero_cell
+    report = enumerate_grid(60, zero_cell=zero_cell, threads=2)
+    assert report.saturating == tuple((m, c) for m, c in census_60.saturating
+                                      if m[i, j] == 0)
+    assert report.ds_count == _zero_slice_count(60) == 39_711
+    assert report.total_candidates == census_60.total_candidates
+
+
 def test_enumerate_ds_count_matches_macmahon():
     # MacMahon: the 3 x 3 nonnegative integer matrices with every row and
     # column summing to d number C(d+4,4) + C(d+3,4) + C(d+2,4)

@@ -110,6 +110,7 @@ VERB_MODULES = [
     (["gap", "MATRIX"], {"diagsum"}),
     (["classify", "MATRIX"], {"saturation", "diagsum"}),
     (["region", "--u", "0", "--v", "-3/5"], {"weakform"}),
+    (["canonical", "--name", "Tn:5"], set()),
     (["--help"], set()),
 ]
 
