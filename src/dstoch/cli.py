@@ -28,15 +28,18 @@ def _perm_json(p):
 
 
 def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DS_THREADS")
-    if env:
+    threads, source = args.threads, "--threads"
+    if threads is None:
+        env, source = os.environ.get("DS_THREADS"), "DS_THREADS"
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise ParseError(f"DS_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise ParseError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 # ── subcommand handlers ───────────────────────────────────────────────────

@@ -10,10 +10,13 @@ Four harnesses:
     of each triple form an interval (counted in closed form) and
     saturation at each of the six diagonals is an integer quadratic in x22
     (solved exactly).  That is O(d^3) work instead of a sweep over the
-    (d+1)^4 grid.  A census with a zero cell is one x11 = 0 slice, O(d^2),
-    mapped onto the cell by a row and a column swap.  Vectorized with
-    int64 numpy; the largest intermediate, the discriminant, is O(d^2), so
-    nothing comes near 2^53 for d <= DENOMINATOR_CAP.
+    (d+1)^4 grid, cut by about 8 more by scanning one (x12, x21) per orbit
+    of the eight symmetries that fix x11 and keep saturation.  A census
+    with a zero cell is one x11 = 0 slice, O(d^2), mapped onto the cell by
+    a row and a column swap.  total_candidates still reports the (d+1)^4
+    grid.  Vectorized with int64 numpy; the largest intermediate, the
+    discriminant, is O(d^2), so nothing comes near 2^53 for
+    d <= DENOMINATOR_CAP.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -41,6 +44,7 @@ verbs load neither; only the census and the float tier do.
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,19 +129,32 @@ def _census_block(d, x11s):
     saturation at a diagonal is an integer quadratic in t.  Its integer
     roots inside the interval are the only candidates; each is re-checked
     exactly against the maximal diagonal.
+
+    The transpose and the swaps of the last two rows and of the last two
+    columns fix x11 and map the grid's doubly stochastic points one-to-one
+    onto themselves, keeping the Frobenius norm and the multiset of
+    diagonal sums, hence saturation.  On the square [0, m]^2 of
+    (x12, x21), with m = d - x11, the eight maps they generate are the
+    symmetries of the square (x12 -> m - x12, x21 -> m - x21,
+    x12 <-> x21), so only one (x12, x21) per orbit is scanned: x12 <= x21
+    and 2 x21 <= m.  Each triple's count is weighted by its orbit size,
+    and each saturating cell is returned with its images under the eight
+    maps.
     """
     import numpy as np
     x11s = np.asarray(x11s, dtype=np.int64)
     r = np.arange(d + 1, dtype=np.int64)
-    s, x12, x21 = np.nonzero((x11s[:, None, None] + r[None, :, None] <= d)
-                             & (x11s[:, None, None] + r[None, None, :] <= d))
+    s, x12, x21 = np.nonzero((r[None, :, None] <= r[None, None, :])
+                             & (2 * r[None, None, :] <= d - x11s[:, None, None]))
     x11 = x11s[s]
-    x13 = d - x11 - x12
-    x31 = d - x11 - x21
+    m = d - x11
+    x13 = m - x12
+    x31 = m - x21
     a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
     lo = np.maximum(0, -c)
     hi = np.minimum(a, b)
-    ds_count = int(np.maximum(hi - lo + 1, 0).sum())
+    orbit_size = (1 + (2 * x12 != m)) * (1 + (2 * x21 != m)) * (1 + (x12 != x21))
+    ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum())
     if ds_count == 0:
         return 0, []
     k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
@@ -167,7 +184,14 @@ def _census_block(d, x11s):
     best = np.maximum.reduce([alpha[rows] + beta * t for alpha, beta in diagonals])
     sat = frob == d * best
     rows, t = rows[sat], t[sat]
-    cells = np.stack([x11[rows], x12[rows], x21[rows], t], axis=1)
+    x11, m = x11[rows], m[rows]
+    # the swaps of the last two columns and rows, alone and together, of
+    # (x11, p, q, t) and of its transpose
+    images = []
+    for p, q in ((x12[rows], x21[rows]), (x21[rows], x12[rows])):
+        images += [(p, q, t), (m - p, q, d - q - t), (p, m - q, d - p - t),
+                   (m - p, m - q, p + q + t - m)]
+    cells = np.concatenate([np.stack([x11, p, q, u], axis=1) for p, q, u in images])
     return ds_count, [tuple(cell) for cell in cells.tolist()]
 
 
@@ -180,39 +204,51 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     doubly stochastic grid points with a zero at (0, 0) one-to-one onto
     those with a zero at (i, j) and keeps the Frobenius norm and the set of
     diagonal sums, hence saturation: that census is the x11 = 0 slice,
-    mapped, in the calling thread.  Otherwise threads parallelizes over
-    blocks of x11 slices (the report is identical for every thread count).
+    mapped.  Otherwise threads (at least 1) parallelizes over blocks of x11
+    slices (the report is identical for every thread count); a census that
+    is one block runs in the calling thread.
 
     total_candidates is the size (d+1)^4 of the grid the census covers,
-    not the number of points scanned: the kernel solves for the saturating
-    points of each (x11, x12, x21) triple instead of visiting every x22.
+    not the number of points scanned: the kernel scans one (x12, x21) per
+    orbit of the eight symmetries that fix x11, about 1/8 of the
+    (x11, x12, x21) triples, and solves for the saturating points of each
+    instead of visiting every x22.
     """
-    d = int(denominator)
+    try:
+        d = operator.index(denominator)
+        if zero_cell is not None:
+            zero_cell = (operator.index(zero_cell[0]), operator.index(zero_cell[1]))
+    except TypeError:
+        raise DomainError(f"denominator and zero_cell must be integers, got "
+                          f"{denominator!r} and {zero_cell!r}") from None
     if d < 1:
         raise DomainError(f"denominator must be positive, got {d}")
     if d > DENOMINATOR_CAP:
         raise DenominatorTooLarge(d)
-    if zero_cell is not None:
-        zero_cell = (int(zero_cell[0]), int(zero_cell[1]))
-        if not (0 <= zero_cell[0] < 3 and 0 <= zero_cell[1] < 3):
-            raise DomainError(f"zero_cell out of range: {zero_cell}")
+    if zero_cell is not None and not (0 <= zero_cell[0] < 3
+                                      and 0 <= zero_cell[1] < 3):
+        raise DomainError(f"zero_cell out of range: {zero_cell}")
     if threads is None:
         threads = os.cpu_count() or 1
-    # x11 slices per numpy pass, which the thread pool maps over.  8 slices
-    # per pass at d = 60 give threads enough numpy work between GIL
-    # hand-offs; a pass's int64 arrays are what a thread holds at once, so
-    # passes shrink as (d + 1)^2 grows, to one slice from d = 122 on.
-    step = max(1, 8 * 61 ** 2 // (d + 1) ** 2)
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
+    # x11 slices per numpy pass, which the thread pool maps over.  A pass's
+    # int64 arrays are what a thread holds at once, so a pass is kept to
+    # about 8 * 61^2 triples (a slice scans about (d + 1 - x11)^2 / 8): the
+    # whole d = 60 census is one pass, and passes shrink as (d + 1)^2
+    # grows, to 4 slices at d = 240.
+    step = max(1, 64 * 61 ** 2 // (d + 1) ** 2)
     blocks = [range(1)] if zero_cell is not None else [
         range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
-    if threads > 1 and zero_cell is None:
+    if threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             passes = list(pool.map(lambda b: _census_block(d, b), blocks))
     else:
         passes = [_census_block(d, b) for b in blocks]
     ds_count = sum(c for c, _ in passes)
-    # a point can be a root at more than one diagonal
+    # a point can be a root at more than one diagonal, and the image of a
+    # cell under more than one of the eight maps
     grids = [[[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
               [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
              for x11, x12, x21, x22 in {c for _, found in passes for c in found}]

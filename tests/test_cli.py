@@ -261,6 +261,14 @@ def test_enumerate_bad_ds_threads_exits_2(capsys, monkeypatch):
     assert err.startswith("ds: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("env", ["0", "-5"])
+def test_enumerate_ds_threads_below_one_exits_2(capsys, monkeypatch, env):
+    monkeypatch.setenv("DS_THREADS", env)
+    code, out, err = run(capsys, "enumerate", "--denominator", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("ds: parse error: DS_THREADS") and err.count("\n") == 1
+
+
 def test_products_deterministic(capsys):
     _, first, _ = run(capsys, "products", "--n", "4", "--samples", "5",
                       "--seed", "9")
@@ -327,9 +335,11 @@ _DIRECTORY = object()  # the matrix argument names a directory
     (["check"], b"\xff\xfe1,0\n0,1\n", "not UTF-8"),
     (["gap"], _DIRECTORY, "is a directory"),
     (["check"], '{"rows":' * 100_000, "nests too deeply"),
+    (["--threads", "0", "enumerate", "--denominator", "2"], None, "--threads"),
+    (["--threads", "-5", "enumerate", "--denominator", "2"], None, "--threads"),
 ], ids=["rows-not-list", "empty", "tn-not-int", "csv-long-entry",
         "json-long-number", "csv-blank-lines", "not-utf8", "directory",
-        "deep-json"])
+        "deep-json", "threads-zero", "threads-negative"])
 def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     if text is _DIRECTORY:
         argv = argv + [str(tmp_path)]

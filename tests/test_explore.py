@@ -98,6 +98,29 @@ def test_enumerate_cap():
         enumerate_grid(DENOMINATOR_CAP + 1)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_enumerate_refuses_threads_below_one(threads):
+    with pytest.raises(DomainError, match="threads"):
+        enumerate_grid(4, threads=threads)
+
+
+@pytest.mark.parametrize("denominator, zero_cell", [
+    (3.7, None), (np.float64(4.0), None), ("4", None), (4, (0.5, 1)),
+    (4, (1, F(0))), (4, (np.float64(1), 0))],
+    ids=["float", "numpy-float", "str", "cell-float", "cell-fraction",
+         "cell-numpy-float"])
+def test_enumerate_refuses_non_integer_arguments(denominator, zero_cell):
+    with pytest.raises(DomainError, match="integers"):
+        enumerate_grid(denominator, zero_cell=zero_cell)
+
+
+def test_enumerate_accepts_numpy_integers():
+    assert (enumerate_grid(np.int64(4), zero_cell=(np.int32(1), np.int64(0)),
+                           threads=np.int64(2))
+            == enumerate_grid(4, zero_cell=(1, 0), threads=2))
+    assert enumerate_grid(np.int16(7)) == enumerate_grid(7)
+
+
 ZERO_CELLS = [None] + [(i, j) for i in range(3) for j in range(3)]
 
 
@@ -147,6 +170,76 @@ def test_enumerate_matches_full_grid_sweep(zero_cell):
         for threads in (1, 2):
             assert enumerate_grid(d, zero_cell=zero_cell,
                                   threads=threads) == expected, (d, threads)
+
+
+def _fixing_x11(d):
+    """The eight maps of (x11, x12, x21, x22) that fix x11, written from the
+    three generators: with m = d - x11, x12 -> m - x12 (the swap of the
+    last two columns), x21 -> m - x21 (of the last two rows) and
+    x12 <-> x21 (the transpose)."""
+    def cols(x11, x12, x21, x22):
+        return x11, d - x11 - x12, x21, d - x21 - x22
+
+    def rows(x11, x12, x21, x22):
+        return x11, x12, d - x11 - x21, d - x12 - x22
+
+    def transpose(x11, x12, x21, x22):
+        return x11, x21, x12, x22
+
+    maps = []
+    for c, r, t in itertools.product((False, True), repeat=3):
+        def g(x, c=c, r=r, t=t):
+            x = cols(*x) if c else x
+            x = rows(*x) if r else x
+            return transpose(*x) if t else x
+        maps.append(g)
+    return maps
+
+
+def _grid_matrix(d, x11, x12, x21, x22):
+    return [[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
+            [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
+
+
+def test_maps_fixing_x11_keep_norm_and_diagonal_sums():
+    perms = list(itertools.permutations(range(3)))
+    for d in range(1, 9):
+        points = {x for x in itertools.product(range(d + 1), repeat=4)
+                  if min(min(row) for row in _grid_matrix(d, *x)) >= 0}
+        maps = _fixing_x11(d)
+        images = [{x: g(x) for x in points} for g in maps]
+        if d > 1:
+            assert len({tuple(sorted(im.items())) for im in images}) == 8
+        for image in images:
+            assert set(image.values()) == points  # onto the DS points
+            for x, y in image.items():
+                a, b = _grid_matrix(d, *x), _grid_matrix(d, *y)
+                assert y[0] == x[0]
+                assert (sum(v * v for row in a for v in row)
+                        == sum(v * v for row in b for v in row))
+                assert (sorted(sum(a[i][p[i]] for i in range(3)) for p in perms)
+                        == sorted(sum(b[i][p[i]] for i in range(3)) for p in perms))
+
+
+def test_scanned_orbits_tile_the_square():
+    # The census scans x12 <= x21, 2 x21 <= m of the square [0, m]^2 and
+    # weights each point by (1 + [2 x12 != m]) (1 + [2 x21 != m])
+    # (1 + [x12 != x21]); m = d - x11 runs up to DENOMINATOR_CAP.
+    for m in range(DENOMINATOR_CAP + 2):
+        x12, x21 = np.nonzero(np.tri(m + 1, dtype=bool).T)  # x12 <= x21
+        keep = 2 * x21 <= m
+        x12, x21 = x12[keep], x21[keep]
+        weight = ((1 + (2 * x12 != m)) * (1 + (2 * x21 != m))
+                  * (1 + (x12 != x21)))
+        assert weight.sum() == (m + 1) ** 2, m
+        codes = np.sort([p * (m + 1) + q for p, q in (
+            (x12, x21), (m - x12, x21), (x12, m - x21), (m - x12, m - x21),
+            (x21, x12), (m - x21, x12), (x21, m - x12), (m - x21, m - x12))],
+            axis=0)
+        orbit_size = 1 + (np.diff(codes, axis=0) != 0).sum(axis=0)
+        assert (orbit_size == weight).all(), m
+        # the orbits are disjoint and cover the square
+        assert len(np.unique(codes)) == (m + 1) ** 2, m
 
 
 @pytest.fixture(scope="module")

@@ -97,9 +97,13 @@ def test_exact_verbs_run_without_numpy_or_thread_pool(tmp_path):
 def test_probe_and_enumerate_load_numpy_on_demand():
     probe = _run([["probe", "--n", "3", "--samples", "4", "--seed", "1"]], False)
     assert probe["loaded"]["numpy"] and [code for _, code in probe["runs"]] == [0]
-    census = _run([["--threads", "2", "enumerate", "--denominator", "6"]], False)
+    census = _run([["--threads", "2", "enumerate", "--denominator", "122"]], False)
     assert census["loaded"] == {"numpy": True, "concurrent.futures": True}
     assert [code for _, code in census["runs"]] == [0]
+    # a census that is a single numpy pass runs in the calling thread
+    single = _run([["--threads", "2", "enumerate", "--denominator", "60"]], False)
+    assert single["loaded"] == {"numpy": True, "concurrent.futures": False}
+    assert [code for _, code in single["runs"]] == [0]
 
 
 # An argv (MATRIX stands for a file holding T) and the modules it loads
