@@ -10,8 +10,15 @@ in exact rational arithmetic:
     (factorial brute force is kept as its independent oracle);
   * the maximal diagonal product;
   * the permanent, by Glynn's formula over the 2^(n-1) sign vectors with
-    first sign +1, in Gray-code order, each step touching only the
-    nonzero entries of the one column it flips: O(2^(n-1) (nnz/n + n));
+    first sign +1, in Gray-code order: O(n 2^(n-1)).  Below order 12 a
+    Python loop sums them, each step touching only the nonzero entries of
+    the one column it flips; it keeps `ds permanent` at small orders (n = 8
+    in common use) free of numpy, whose import (60-90 ms on a 2-core Xeon)
+    costs more than the whole sum.  From order 12 on the same sum runs in
+    int64 numpy blocks of 2^11 sign vectors, with the rows cut into runs
+    whose bounds sum_j |a_ij| multiply to less than 2^62, so each run's
+    product is exact in int64; the run products are multiplied as Python
+    ints.  A row bound of 2^62 or more sends the matrix to the loop;
   * the Marcus-Ree gap max_tr(A) - ||A||_F^2, which is >= 0 for every
     doubly stochastic A and whose vanishing ("saturation") is the
     classification problem handled in `saturation`.
@@ -226,6 +233,11 @@ def max_trace_value(rows):
 
 # ── permanent ─────────────────────────────────────────────────────────────
 
+VECTOR_MIN_N = 12        # from this order on, the Glynn sum runs in numpy
+FLIP_BLOCK = 11          # sign vectors per numpy block: 2^FLIP_BLOCK
+INT64_BOUND = 1 << 62    # every int64 run product stays below this
+
+
 def permanent(a):
     """Exact permanent by Glynn's formula on the integer grid of `a.scaled()`,
 
@@ -233,7 +245,16 @@ def permanent(a):
 
     over d in {+-1}^n with d_0 = +1 in Gray-code order: step k flips column
     ctz(k) + 1, moving the row sums by twice that column's nonzero entries,
-    and the term's sign is the parity of k.  O(2^(n-1) (nnz/n + n)).
+    and the term's sign is the parity of k.
+
+    Two paths sum the same terms.  Below order VECTOR_MIN_N = 12, and for
+    any row bound r_i = sum_j |a_ij| (on the grid) of 2^62 or more,
+    `_glynn_loop` runs them one by one in Python, O(2^(n-1) (nnz/n + n)).
+    Up to n = 11 that costs less than importing numpy (60-90 ms on a 2-core
+    Xeon), so `ds permanent` on small files (n = 8 in common use) never
+    loads numpy.  From order 12 on `_glynn_int64` sums 2^11 sign vectors
+    per numpy block, with each row product cut into runs whose bounds
+    multiply to less than 2^62, so that int64 holds every run exactly.
     """
     n = a.n
     if n > PERMANENT_CAP:
@@ -241,6 +262,17 @@ def permanent(a):
     if n == 0:
         return Fraction(1)
     grid, den = a.scaled()
+    bounds = [sum(map(abs, row)) for row in grid]
+    if n >= VECTOR_MIN_N and max(bounds) < INT64_BOUND:
+        total = _glynn_int64(grid, _int64_runs(bounds))
+    else:
+        total = _glynn_loop(grid)
+    return Fraction(total, den ** n << (n - 1))
+
+
+def _glynn_loop(grid):
+    """The integer Glynn sum 2^(n-1) perm(grid), one sign vector at a time."""
+    n = len(grid)
     rowsum = [sum(row) for row in grid]
     # flips[b][s]: (row, change) at each nonzero entry of column b + 1 when its
     # sign turns -1 (s = 0, bit b + 1 of k clear) or back to +1 (s = 1)
@@ -253,7 +285,67 @@ def permanent(a):
             rowsum[i] += x
         term = math.prod(rowsum)
         total += -term if k & 1 else term
-    return Fraction(total, den ** n << (n - 1))
+    return total
+
+
+def _int64_runs(bounds):
+    """Cut rows 0..n-1 greedily into runs (slices) whose bounds, each taken
+    as at least 1, multiply to less than 2^62."""
+    runs, start, product = [], 0, 1
+    for i, r in enumerate(bounds):
+        r = max(r, 1)
+        if product * r >= INT64_BOUND:
+            runs.append(slice(start, i))
+            start, product = i, 1
+        product *= r
+    runs.append(slice(start, len(bounds)))
+    return runs
+
+
+def _glynn_int64(grid, runs):
+    """The integer Glynn sum 2^(n-1) perm(grid) in int64 numpy blocks.
+
+    The row sums of all 2^m sign patterns on flip columns 1..m are built
+    once by doubling; the remaining columns are walked in Gray-code order as
+    one shift vector added to every pattern.  Each of the row runs (slices
+    from `_int64_runs`) multiplies out in int64, and the few run products
+    are multiplied and summed as Python ints.
+
+    No int64 value overflows.  `permanent` sends only row bounds
+    r_i = sum_j |g_ij| < 2^62 here.  Every row sum obeys
+    |sum_j d_j g_ij| <= r_i, and every shift or step, twice a sum of some
+    of row i's entries, is at most 2 r_i < 2^63.  A product of any of a
+    run's row sums, in whatever order np.prod forms it, is at most the
+    product of those rows' max(r_i, 1), which `_int64_runs` keeps below
+    2^62.
+    """
+    import numpy as np
+
+    n = len(grid)
+    g = np.array(grid, dtype=np.int64)
+    m = min(n - 1, FLIP_BLOCK)
+    sums = g.sum(axis=1, keepdims=True)
+    sign = np.ones(1, dtype=np.int64)
+    for c in range(1, m + 1):
+        sums = np.hstack((sums, sums - 2 * g[:, c:c + 1]))
+        sign = np.concatenate((sign, -sign))
+    steps = 2 * g[:, m + 1:].T
+    shift = np.zeros(n, dtype=np.int64)
+    total = 0
+    for k in range(1 << (n - 1 - m)):
+        if k:
+            b = (k & -k).bit_length() - 1
+            if k >> (b + 1) & 1:
+                shift += steps[b]
+            else:
+                shift -= steps[b]
+        x = sums + shift[:, None]
+        acc = (x[runs[0]].prod(axis=0) * sign).astype(object)
+        for run in runs[1:]:
+            acc *= x[run].prod(axis=0).astype(object)
+        part = acc.sum()
+        total += -part if k & 1 else part
+    return total
 
 
 # ── the Marcus-Ree gap ────────────────────────────────────────────────────

@@ -28,7 +28,8 @@ from dstoch import (
     random_ds,
     validate_ds,
 )
-from dstoch.diagsum import BRUTE_CAP
+from dstoch import diagsum
+from dstoch.diagsum import BRUTE_CAP, INT64_BOUND, VECTOR_MIN_N, _int64_runs
 
 S = canonical("S")
 T = canonical("T")
@@ -269,7 +270,7 @@ def test_permanent_matches_ryser_on_signed_matrices():
     # negative entries, a zero row, a zero column, n = 1 and all zeros
     rng = SplitMix64(607)
     cases = [RatMatrix([[F(-3, 7)]]), RatMatrix([[0] * 5] * 5)]
-    for n in range(1, 11):
+    for n in range(1, 14):
         rows = [list(row) for row in _signed_matrix(rng, n).rows]
         cases.append(RatMatrix(rows))
         i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
@@ -282,6 +283,44 @@ def test_permanent_matches_ryser_on_signed_matrices():
         if not all(any(line) for line in a.rows + tuple(zip(*a.rows))):
             assert permanent(a) == 0
     assert permanent(cases[0]) == F(-3, 7)
+
+
+def test_int64_runs_keep_each_bound_product_below_2_62():
+    assert _int64_runs([2 ** 31, 2 ** 31 - 1, 1, 0, 2 ** 62 - 1]) == [
+        slice(0, 4), slice(4, 5)]
+    assert _int64_runs([2 ** 31, 2 ** 31]) == [slice(0, 1), slice(1, 2)]
+    assert _int64_runs([5] * 12) == [slice(0, 12)]
+
+
+def _near(rng, n, base):
+    """n x n integer matrix with entries +-(base + 0..999)."""
+    return RatMatrix([[(base + rng.randint(0, 999)) * (1 - 2 * rng.randint(0, 1))
+                       for _ in range(n)] for _ in range(n)])
+
+
+def test_permanent_int64_path_with_one_row_runs(monkeypatch):
+    # two rows' bounds, about 12 * 2^40 each, multiply past 2^62
+    seen = []
+
+    def recording(bounds):
+        seen.append(_int64_runs(bounds))
+        return seen[-1]
+
+    monkeypatch.setattr(diagsum, "_int64_runs", recording)
+    a = _near(SplitMix64(609), VECTOR_MIN_N, 2 ** 40)
+    assert permanent(a) == _reference_ryser(a)
+    assert seen == [[slice(i, i + 1) for i in range(VECTOR_MIN_N)]]
+
+
+def test_permanent_takes_the_loop_past_the_int64_bound(monkeypatch):
+    def refuse(grid, runs):
+        raise AssertionError("int64 path taken")
+
+    monkeypatch.setattr(diagsum, "_glynn_int64", refuse)
+    rows = [list(row) for row in _near(SplitMix64(610), VECTOR_MIN_N, 0).rows]
+    rows[5][7] = INT64_BOUND
+    a = RatMatrix(rows)
+    assert permanent(a) == _reference_ryser(a)
 
 
 def test_permanent_matches_naive_on_signed_matrices():

@@ -54,7 +54,8 @@ def _run(argvs, block):
 
 def _exact_argvs(tmp_path):
     files = {"R": canonical("R"), "T": canonical("T"),
-             "mix": random_ds(4, 3, seed=17), "zero21": canonical("I1_J2")}
+             "mix": random_ds(4, 3, seed=17), "zero21": canonical("I1_J2"),
+             "mix11": random_ds(11, 5, seed=18)}
     paths = {}
     for name, m in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
@@ -72,6 +73,7 @@ def _exact_argvs(tmp_path):
         ["maxtrace", paths["mix"], "--method", "assignment"],
         ["maxprod", paths["mix"]],
         ["permanent", paths["mix"]],
+        ["permanent", paths["mix11"]],  # the largest order the loop keeps
         ["params", paths["zero21"]],
         ["region", "--u", "0", "--v", "-3/5"],
         ["boundary", "--min", "-1", "--max", "1", "--step", "0.5"],
@@ -94,9 +96,14 @@ def test_exact_verbs_run_without_numpy_or_thread_pool(tmp_path):
     assert free["loaded"] == {"numpy": False, "concurrent.futures": False}
 
 
-def test_probe_and_enumerate_load_numpy_on_demand():
+def test_probe_and_enumerate_load_numpy_on_demand(tmp_path):
     probe = _run([["probe", "--n", "3", "--samples", "4", "--seed", "1"]], False)
     assert probe["loaded"]["numpy"] and [code for _, code in probe["runs"]] == [0]
+    # from order 12 on, the permanent's Glynn sum runs in int64 numpy
+    path = tmp_path / "mix12.json"
+    path.write_text(write_matrix(random_ds(12, 5, seed=19)))
+    perm = _run([["permanent", str(path)]], False)
+    assert perm["loaded"]["numpy"] and [code for _, code in perm["runs"]] == [0]
     census = _run([["--threads", "2", "enumerate", "--denominator", "122"]], False)
     assert census["loaded"] == {"numpy": True, "concurrent.futures": True}
     assert [code for _, code in census["runs"]] == [0]
