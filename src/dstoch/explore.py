@@ -25,12 +25,12 @@ Four harnesses:
     that identity exactly and reports whether the product saturates.
 
   * rationality_probe: floating-point sampling (Sinkhorn-balanced positive
-    matrices, permutation mixtures, and jittered known solutions) screened
-    for a near-zero gap, followed by exact reconstruction by
-    reconstruct_matrix, the one crossing from floats to exact matrices: it
-    snaps the leading (n-1) x (n-1) block by continued fractions and forces
-    the last row and column from the sums.  A float hit only counts once
-    that matrix has gap exactly 0.
+    matrices, permutation mixtures, and jittered known solutions, as nested
+    lists of floats) screened for a near-zero gap, followed by exact
+    reconstruction by reconstruct_matrix, the one crossing from floats to
+    exact matrices: it snaps the leading (n-1) x (n-1) block by continued
+    fractions and forces the last row and column from the sums.  A float
+    hit only counts once that matrix has gap exactly 0.
 
   * check_asymmetry: is a matrix permutation-equivalent to NO symmetric
     matrix?  P A Q is symmetric exactly when A (Q P) is, so an exhaustive
@@ -39,9 +39,14 @@ Four harnesses:
 All seeded operations use SplitMix64 and are bit-reproducible for a given
 seed, independent of thread count.  numpy and the thread pool are imported
 inside the functions that use them, so `import dstoch` and the exact `ds`
-verbs load neither; only the census and the float tier do.
+verbs load neither.  The census loads both (the pool only when it runs
+more than one block); the float tier loads numpy only from order
+NUMPY_MIN_N = 5 on, and below that runs on lists of Python floats with
+numpy's summation order, so `ds probe --n 3` prints the same bytes
+without it.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -309,16 +314,74 @@ def search_products(n, max_parts, samples, seed):
 
 # ── float tier: Sinkhorn, reconstruction, probing ─────────────────────────
 
+NUMPY_MIN_N = 5  # from this order on, Sinkhorn and the Frobenius sum run in numpy
+
+
 def sinkhorn(x):
     """Balance a nonnegative matrix with no zero row or column: alternately
     normalize rows and columns until every row sum is within 1e-12 of 1
-    (or 10,000 passes).
+    (or 10,000 passes).  Returns nested lists of floats at every order.
+
+    A negative or non-finite entry, a zero row or a zero column raises
+    DomainError: no scaling balances such a matrix, and the passes would
+    end in NaN or in negative "probabilities".
 
     Only the rows need the test.  Each pass ends by dividing every column
     by its own sum, and with no cancellation among nonnegative entries the
     recomputed column sums are then within about n * 2^-52 of 1, far below
     1e-12 at every order the probe runs.
+
+    Two bodies run the same arithmetic.  Below order NUMPY_MIN_N = 5,
+    `_sinkhorn_floats` runs on lists of Python floats, and from order 5 on
+    `_sinkhorn_numpy` on an ndarray.  On tiny matrices numpy's per-call
+    overhead costs what the loop saves: per pass on a stalling input, on a
+    shared 2-core Xeon, n = 3 takes 7.5-10 us in floats against 12-13 in
+    numpy, n = 4 about 13 against 11-12, and n = 5 17 against 13.  At
+    n <= 4 the float body also spares `ds probe` numpy's import (about
+    70 ms).  The results are bit-identical, because the float body adds
+    in numpy's order: a row of fewer than 8 doubles left to right (numpy's
+    pairwise sum below its 8-accumulator block), the column sums one row
+    after another; the divisions are elementwise in both.  From order 8 on
+    numpy's row sums take the 8-accumulator path, so the float body stops
+    matching there.
+
+    A matrix whose support decomposes (a block sum such as the identity
+    plus 1e-9 noise) balances only slowly and runs all 10,000 passes;
+    the probe's jittered samples are such matrices.
     """
+    rows = [[float(v) for v in row] for row in x]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DomainError("Sinkhorn needs a square matrix")
+    if not all(0 <= v < math.inf for row in rows for v in row):
+        raise DomainError("Sinkhorn needs finite nonnegative entries")
+    if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+        raise DomainError("Sinkhorn needs no zero row and no zero column")
+    return _balance(rows)
+
+
+def _balance(rows):
+    """sinkhorn on a positive list-of-lists matrix, without the checks: the
+    probe builds its samples positive."""
+    if len(rows) < NUMPY_MIN_N:
+        return _sinkhorn_floats(rows)
+    return _sinkhorn_numpy(rows).tolist()
+
+
+def _sinkhorn_floats(x):
+    # reduce(add, row) is _pairwise_sum on fewer than 8 values, inlined
+    reduce, add = functools.reduce, operator.add
+    for _ in range(10000):
+        sums = [reduce(add, row) for row in x]
+        x = [[v / s for v in row] for row, s in zip(x, sums)]
+        sums = [reduce(add, col) for col in zip(*x)]
+        x = [[v / s for v, s in zip(row, sums)] for row in x]
+        if all(abs(reduce(add, row) - 1.0) < 1e-12 for row in x):
+            break
+    return x
+
+
+def _sinkhorn_numpy(x):
     import numpy as np
     x = np.array(x, dtype=float)
     for _ in range(10000):
@@ -329,16 +392,46 @@ def sinkhorn(x):
     return x
 
 
+def _pairwise_sum(values):
+    """numpy's float64 sum of 1 to 128 values, in its order: left to right
+    below 8; otherwise eight interleaved accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
+    to right.  (The builtin sum compensates its rounding from Python 3.12
+    on, so it is not used.)"""
+    if len(values) < 8:
+        return functools.reduce(operator.add, values)
+    r = values[:8]
+    tail = len(values) - len(values) % 8
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, values[tail:], total)
+
+
+def _frob_sq(rows):
+    """Squared Frobenius norm of a list-of-lists float matrix, bit-identical
+    to numpy's (x * x).sum()."""
+    if len(rows) < NUMPY_MIN_N:
+        return _pairwise_sum([v * v for row in rows for v in row])
+    import numpy as np
+    x = np.array(rows)
+    return float((x * x).sum())
+
+
 def snap_rational(x, max_den=10 ** 6, tol=1e-7):
     """The first continued-fraction convergent of the float x within tol of
-    it, or None if the convergents' denominators pass max_den first.
+    it, or None if the convergents' denominators pass max_den first or x
+    is not finite.
 
     This is not always the smallest-denominator rational within tol: an
     intermediate fraction between two convergents can get there sooner.
     For x = 0.0640314382269973 and tol = 0.0301 it returns 1/15, though
     1/11 is within tol.
     """
-    f = Fraction(float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        return None
+    f = Fraction(x)
     num, den = f.numerator, f.denominator
     hm2, km2, hm1, km1 = 0, 1, 1, 0
     while True:
@@ -358,14 +451,16 @@ def reconstruct_matrix(x, tol=1e-7):
     """Round a near-balanced float matrix to an exactly doubly stochastic
     rational one: snap the leading (n-1) x (n-1) block with snap_rational
     (denominators up to its default 10^6, within tol), then force the last
-    column and row from the sum constraints.  None if an entry refuses to
-    snap or a forced entry comes out negative."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
+    column and row from the sum constraints.  None if an entry is not
+    finite, an entry refuses to snap or a forced entry comes out
+    negative."""
+    x = [[float(v) for v in row] for row in x]
+    if not all(math.isfinite(v) for row in x for v in row):
+        return None
     n = len(x)
     rows = []
     for i in range(n - 1):
-        row = [snap_rational(cell, tol=tol) for cell in x[i, :n - 1]]
+        row = [snap_rational(cell, tol=tol) for cell in x[i][:n - 1]]
         if None in row:
             return None
         rows.append(row + [1 - sum(row)])
@@ -377,19 +472,18 @@ def reconstruct_matrix(x, tol=1e-7):
 
 
 def _probe_sample(n, kind, rng):
-    import numpy as np
     if kind == "sinkhorn":
         raw = [[0.1 + 0.9 * rng.random() for _ in range(n)] for _ in range(n)]
-        return sinkhorn(raw)
+        return _balance(raw)
     if kind == "mixture":
         k = rng.randint(1, 4)
         weights = [0.05 + rng.random() for _ in range(k)]
         total = sum(weights)
-        x = np.zeros((n, n))
+        x = [[0.0] * n for _ in range(n)]
         for wgt in weights:
             p = Permutation.random(n, rng)
             for i in range(n):
-                x[i, p(i)] += wgt / total
+                x[i][p(i)] += wgt / total
         return x
     # jitter: a known exact solution nudged off itself, then rebalanced
     if n == 3:
@@ -399,9 +493,9 @@ def _probe_sample(n, kind, rng):
                 @ perm_matrix(Permutation.random(3, rng)))
     else:
         base = _random_block_spec(n, n, rng).build()
-    x = np.array(base.to_floats())
-    noise = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
-    return sinkhorn(x + 1e-9 * (noise + 0.1))
+    noise = [[rng.random() for _ in range(n)] for _ in range(n)]
+    return _balance([[b + 1e-9 * (r + 0.1) for b, r in zip(row, noise_row)]
+                     for row, noise_row in zip(base.to_floats(), noise)])
 
 
 def rationality_probe(n, samples, seed, tol=1e-9):
@@ -426,8 +520,7 @@ def rationality_probe(n, samples, seed, tol=1e-9):
     for index in range(samples):
         kind = kinds[rng.below(3)]
         x = _probe_sample(n, kind, rng)
-        frob = float((x * x).sum())
-        gap = max_trace_value(x.tolist()) - frob
+        gap = max_trace_value(x) - _frob_sq(x)
         if gap >= tol:
             continue
         exact = reconstruct_matrix(x)

@@ -36,7 +36,8 @@ from dstoch import (
     snap_rational,
     validate_ds,
 )
-from dstoch.explore import ASYMMETRY_CAP, DENOMINATOR_CAP
+from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
+                            _frob_sq, _pairwise_sum, _sinkhorn_numpy)
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -338,9 +339,88 @@ def test_search_products_trace_identity_across_orders():
 def test_sinkhorn_balances():
     rng = SplitMix64(1)
     x = np.array([[0.2 + rng.random() for _ in range(5)] for _ in range(5)])
-    b = sinkhorn(x)
+    b = np.asarray(sinkhorn(x))
     assert np.abs(b.sum(axis=0) - 1).max() < 1e-12
     assert np.abs(b.sum(axis=1) - 1).max() < 1e-12
+
+
+def test_sinkhorn_floats_match_the_numpy_body():
+    """Below NUMPY_MIN_N the float body runs; it adds in numpy's order, so
+    it returns the numpy body's doubles bit for bit, from list or ndarray
+    input.  From NUMPY_MIN_N on, sinkhorn is the numpy body."""
+    rng = SplitMix64(0x51A4)
+    for n in range(1, NUMPY_MIN_N + 1):
+        for _ in range(6):
+            x = [[0.05 + rng.random() for _ in range(n)] for _ in range(n)]
+            ref = _sinkhorn_numpy(x).tolist()
+            assert sinkhorn(x) == sinkhorn(np.array(x)) == ref
+    # jittered decomposable bases stall: all 10,000 passes, still identical
+    for base, as_input in ((canonical("I3"), list), (canonical("I1_J2"), np.array)):
+        x = [[b + 1e-9 * (rng.random() + 0.1) for b in row]
+             for row in base.to_floats()]
+        out = sinkhorn(as_input(x))
+        assert out == _sinkhorn_numpy(x).tolist()
+        assert max(abs(sum(row) - 1) for row in out) >= 1e-12  # never converged
+
+
+def test_pairwise_sum_is_numpys_sum():
+    rng = SplitMix64(0x5A3)
+    reordered = 0
+    for length in range(1, 17):
+        for _ in range(20):
+            values = [rng.random() * 10.0 ** rng.randint(-8, 8)
+                      for _ in range(length)]
+            total = _pairwise_sum(values)
+            assert total == np.add.reduce(np.array(values))
+            reordered += total != sum(values)
+    # left to right is not numpy's order from 8 values on
+    assert reordered > 0
+    for n in range(1, NUMPY_MIN_N + 2):
+        x = np.array([[rng.random() * 10.0 ** rng.randint(-4, 4) for _ in range(n)]
+                      for _ in range(n)])
+        assert _frob_sq(x.tolist()) == float((x * x).sum())
+
+
+@pytest.mark.parametrize("n", [3, NUMPY_MIN_N])
+@pytest.mark.parametrize("entry", [-0.5, float("nan"), float("inf")],
+                         ids=["negative", "nan", "infinite"])
+def test_sinkhorn_refuses_a_bad_entry(n, entry):
+    x = [[1.0] * n for _ in range(n)]
+    x[1][0] = entry
+    with pytest.raises(DomainError):
+        sinkhorn(x)
+
+
+@pytest.mark.parametrize("n", [3, NUMPY_MIN_N])
+def test_sinkhorn_refuses_a_zero_row(n):
+    x = [[1.0] * n for _ in range(n)]
+    x[1] = [0.0] * n
+    with pytest.raises(DomainError):
+        sinkhorn(x)
+
+
+@pytest.mark.parametrize("n", [3, NUMPY_MIN_N])
+def test_sinkhorn_refuses_a_zero_column(n):
+    x = [[0.0] + [1.0] * (n - 1) for _ in range(n)]
+    with pytest.raises(DomainError):
+        sinkhorn(np.array(x))
+
+
+def test_sinkhorn_refuses_negative_sums_that_would_balance():
+    # the passes would "balance" this to entries -3.54 and 4.54
+    with pytest.raises(DomainError):
+        sinkhorn([[1, -0.5], [0.5, 0.5]])
+
+
+def test_snap_rational_refuses_non_finite_values():
+    assert snap_rational(float("nan")) is None
+    assert snap_rational(float("inf")) is None
+    assert snap_rational(-float("inf")) is None
+
+
+def test_reconstruct_matrix_refuses_a_nan():
+    assert reconstruct_matrix([[0.5, float("nan")], [0.5, 0.5]]) is None
+    assert reconstruct_matrix([[float("nan"), 0.5], [0.5, 0.5]]) is None
 
 
 def test_snap_rational_prefers_small_denominators():
@@ -372,7 +452,8 @@ def test_reconstruct_matrix_recovers_r():
 
 def test_round_to_ds():
     rng = SplitMix64(6)
-    x = sinkhorn([[0.2 + rng.random() for _ in range(4)] for _ in range(4)])
+    x = np.asarray(sinkhorn([[0.2 + rng.random() for _ in range(4)]
+                             for _ in range(4)]))
     m = reconstruct_matrix(x, tol=1e-6)
     assert m is not None
     assert all(abs(float(m[i, j]) - x[i, j]) < 1e-5 for i in range(4)

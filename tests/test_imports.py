@@ -74,6 +74,9 @@ def _exact_argvs(tmp_path):
         ["maxprod", paths["mix"]],
         ["permanent", paths["mix"]],
         ["permanent", paths["mix11"]],  # the largest order the loop keeps
+        # below order 5 the float tier runs on Python floats
+        ["probe", "--n", "3", "--samples", "6", "--seed", "24"],
+        ["probe", "--n", "4", "--samples", "6", "--seed", "25"],
         ["params", paths["zero21"]],
         ["region", "--u", "0", "--v", "-3/5"],
         ["boundary", "--min", "-1", "--max", "1", "--step", "0.5"],
@@ -97,7 +100,7 @@ def test_exact_verbs_run_without_numpy_or_thread_pool(tmp_path):
 
 
 def test_probe_and_enumerate_load_numpy_on_demand(tmp_path):
-    probe = _run([["probe", "--n", "3", "--samples", "4", "--seed", "1"]], False)
+    probe = _run([["probe", "--n", "5", "--samples", "4", "--seed", "1"]], False)
     assert probe["loaded"]["numpy"] and [code for _, code in probe["runs"]] == [0]
     # from order 12 on, the permanent's Glynn sum runs in int64 numpy
     path = tmp_path / "mix12.json"
