@@ -27,31 +27,27 @@ Reported argmax permutations are the lexicographically smallest optimum
 (the solver reaches it from its own matching by tight alternating paths).
 """
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratmat import DomainError, OrderTooLarge, Permutation, _perm
+from .ratmat import DomainError, OrderTooLarge, _perm
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    """Maximal trace with its lexicographically smallest witness."""
-    max_value: Fraction
-    argmax: Permutation
-    method: str  # "brute" or "assignment"
+class TraceReport(collections.namedtuple("TraceReport", "max_value argmax method")):
+    """Maximal trace with its lexicographically smallest witness; method is
+    "brute" or "assignment"."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GapReport:
-    frob_sq: Fraction
-    max_trace: Fraction
-    gap: Fraction
-    saturated: bool
+class GapReport(collections.namedtuple("GapReport", "frob_sq max_trace gap saturated")):
+    """Frobenius norm squared, maximal trace, their difference, and whether
+    it is zero."""
+    __slots__ = ()
 
 
 def frobenius_sq(a):

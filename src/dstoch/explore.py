@@ -46,12 +46,12 @@ numpy's summation order, so `ds probe --n 3` prints the same bytes
 without it.
 """
 
+import collections
 import functools
 import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
@@ -71,53 +71,40 @@ class DenominatorTooLarge(DomainError):
         super().__init__(f"grid enumeration supports denominator <= {self.cap}, got {d}")
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    denominator: int
-    total_candidates: int
-    ds_count: int
-    saturating: tuple  # of (DoublyStochastic, Classification)
+class EnumerationReport(collections.namedtuple(
+        "EnumerationReport", "denominator total_candidates ds_count saturating")):
+    """Census of the 1/d grid; saturating is a tuple of
+    (DoublyStochastic, Classification) pairs."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(collections.namedtuple("BlockSpec", "p parts q")):
     """One factor P (J_{parts[0]} ⊕ ...) Q."""
-    p: Permutation
-    parts: tuple
-    q: Permutation
+    __slots__ = ()
 
     def build(self):
         return block_j_form(self.p, self.parts, self.q)
 
 
-@dataclass(frozen=True)
-class ProductProbe:
-    left: BlockSpec
-    right: BlockSpec
-    product: DoublyStochastic
-    frob_sq: Fraction
-    max_trace: Fraction
-    trace_perm: Permutation
-    identity_holds: bool
-    saturates: bool
+class ProductProbe(collections.namedtuple(
+        "ProductProbe", "left right product frob_sq max_trace trace_perm "
+                        "identity_holds saturates")):
+    """One block-J product A @ B (left and right are BlockSpecs) with its
+    exact gap data and the trace identity's verdict."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProbeCandidate:
-    index: int
-    kind: str          # "sinkhorn", "mixture", or "jitter"
-    gap_float: float
-    reconstructed: DoublyStochastic | None
-    verified: bool     # reconstruction is exactly DS with gap exactly 0
+class ProbeCandidate(collections.namedtuple(
+        "ProbeCandidate", "index kind gap_float reconstructed verified")):
+    """A float sample under tol: kind is "sinkhorn", "mixture" or "jitter";
+    reconstructed is a DoublyStochastic or None; verified means it is
+    exactly DS with gap exactly 0."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    n: int
-    samples: int
-    seed: int
-    tol: float
-    candidates: tuple
+class ProbeReport(collections.namedtuple("ProbeReport", "n samples seed tol candidates")):
+    """A rationality probe run; candidates is a tuple of ProbeCandidates."""
+    __slots__ = ()
 
 
 # ── exhaustive grid census ────────────────────────────────────────────────
@@ -290,7 +277,7 @@ def block_product_probe(left, right):
 
 
 def _random_block_spec(n, max_parts, rng):
-    r = rng.randint(1, max(1, min(max_parts, n)))
+    r = rng.randint(1, min(max_parts, n))
     cuts = list(range(1, n))
     rng.shuffle(cuts)
     cuts = sorted(cuts[:r - 1])
@@ -301,6 +288,9 @@ def _random_block_spec(n, max_parts, rng):
 def search_products(n, max_parts, samples, seed):
     """Seeded sample of block-J product probes (Q: when does a product of
     two block-J forms saturate?).  Deterministic per seed."""
+    if n < 1 or max_parts < 1 or samples < 0:
+        raise DomainError(f"need n >= 1, max_parts >= 1 and samples >= 0, got "
+                          f"n={n}, max_parts={max_parts}, samples={samples}")
     if n > 12:
         raise OrderTooLarge(n, 12, "product search")
     rng = SplitMix64(seed)

@@ -21,12 +21,12 @@ lookup, cross-checked in the tests by `permutation_equivalent`, the gap
 the lex-smallest maximal diagonal from the assignment solver.
 """
 
+import collections
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge, Permutation,
-                     _perm, all_permutations, validate_ds)
+from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge, _perm,
+                     all_permutations, validate_ds)
 from . import diagsum
 
 _F = Fraction
@@ -51,8 +51,8 @@ _CANONICAL_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(collections.namedtuple(
+        "Classification", "saturated form witness separator", defaults=(None,) * 3)):
     """Outcome of the order-3 saturation decision.
 
     saturated implies form and witness are present, with
@@ -61,10 +61,7 @@ class Classification:
     diagonal sum attains max_tr(a), which then strictly exceeds the
     Frobenius norm squared.
     """
-    saturated: bool
-    form: str | None = None
-    witness: tuple[Permutation, Permutation] | None = None
-    separator: Permutation | None = None
+    __slots__ = ()
 
 
 _CANONICALS = {tag: DoublyStochastic(rows) for tag, rows in _CANONICAL_ROWS.items()}

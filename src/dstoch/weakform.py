@@ -1,9 +1,10 @@
 """The weak-form machinery: when does the Frobenius norm squared equal
 *some* diagonal sum of a 3 x 3 doubly stochastic matrix?
 
-Up to permutations of rows and columns, the only all-positive solution is
-J_3, so a zero entry can be normalized to position (2, 1) (1-based) and
-every remaining candidate takes the two-parameter-plus-root form
+Up to permutations of rows and columns, the only all-positive saturator
+(||A||_F^2 = max_tr(A)) is J_3, so every other saturator has a zero entry,
+which can be normalized to position (2, 1) (1-based), and every remaining
+candidate takes the two-parameter-plus-root form
 
         [ (v+u+3)/4    w            (1-v-u)/4 - w ]
     A = [ 0            (v-u+3)/4    (1-v+u)/4     ]
@@ -30,6 +31,10 @@ root: w is a Fraction when the discriminant 7 - 6u^2 - 6v^2 is the square
 of a rational and an exact a + b sqrt(disc) in Q(sqrt(disc)) otherwise,
 so feasibility and the weak-form checks are sign tests, with no tolerance.
 
+The weak form alone has all-positive solutions besides J_3:
+[[4,7,1],[4,1,7],[4,4,4]]/12 has ||A||_F^2 = 5/4, the sum on its diagonal
+(0, 2, 1), while max_tr(A) = 3/2.
+
 Boundary curves for plotting, all for |u| within their domains:
 
     f(u) = -sqrt((3 + 2|u| - 5u^2) / 3)
@@ -37,8 +42,8 @@ Boundary curves for plotting, all for |u| within their domains:
     h(u) = -sqrt(7/6 - u^2) on |u| <= 1/2, f(u) on 1/2 <= |u| <= 1
 """
 
+import collections
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
@@ -76,14 +81,26 @@ class ZeroCellMissing(DomainError):
 
 
 @total_ordering
-@dataclass(frozen=True)
 class _Surd:
     """a + b sqrt(d) for Fractions a, b != 0 and d > 0 not a rational square.
     A result with b = 0 is returned as the Fraction a, so a _Surd never
-    equals a rational and `==` is equality of (a, b, d)."""
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    equals a rational and `==` is equality of (a, b, d).  Not a tuple: a
+    tuple defines every ordering, leaving total_ordering nothing to fill."""
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def __eq__(self, y):
+        if not isinstance(y, _Surd):
+            return NotImplemented
+        return (self.a, self.b, self.d) == (y.a, y.b, y.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self):
+        return f"_Surd(a={self.a!r}, b={self.b!r}, d={self.d!r})"
 
     def _new(self, a, b):
         return _Surd(a, b, self.d) if b else a
@@ -116,14 +133,11 @@ class _Surd:
         return f"{self.a} {'-' if self.b < 0 else '+'} {abs(self.b)}*sqrt({self.d})"
 
 
-@dataclass(frozen=True)
-class WeakFormParams:
-    u: Fraction
-    v: Fraction
-    w: Fraction | _Surd   # a Fraction iff the discriminant is a rational square
-    sign: str
-    exact: bool           # w is rational
-    discriminant: Fraction
+class WeakFormParams(collections.namedtuple(
+        "WeakFormParams", "u v w sign exact discriminant")):
+    """A weak-form root: w is a Fraction, and exact is True, iff the
+    discriminant is a rational square; otherwise w is a _Surd."""
+    __slots__ = ()
 
 
 def _q(x):

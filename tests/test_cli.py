@@ -367,8 +367,12 @@ def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     ["probe", "--n", "3", "--samples", "-1", "--seed", "0"],
     ["probe", "--n", "-1", "--samples", "3", "--seed", "0"],
     ["probe", "--n", "100000", "--samples", "3", "--seed", "0"],
+    ["products", "--n", "0", "--samples", "3", "--seed", "0"],
+    ["products", "--n", "3", "--samples", "3", "--seed", "0", "--max-parts", "0"],
+    ["products", "--n", "3", "--samples", "-1", "--seed", "0"],
 ], ids=["tn-order", "jn-order", "step-nan", "max-inf", "step-tiny", "min-nan",
-        "tol-nan", "samples-negative", "n-negative", "probe-order"])
+        "tol-nan", "samples-negative", "n-negative", "probe-order",
+        "products-n-zero", "products-parts-zero", "products-samples-negative"])
 def test_unbounded_request_is_one_domain_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""

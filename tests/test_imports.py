@@ -124,12 +124,22 @@ VERB_MODULES = [
     (["gap", "MATRIX"], {"diagsum"}),
     (["classify", "MATRIX"], {"saturation", "diagsum"}),
     (["region", "--u", "0", "--v", "-3/5"], {"weakform"}),
+    (["construct", "--u", "0", "--v", "-3/5", "--sign", "minus"], {"weakform"}),
+    (["products", "--n", "3", "--samples", "2", "--seed", "4"],
+     {"explore", "saturation", "diagsum"}),
+    (["probe", "--n", "3", "--samples", "6", "--seed", "24"],
+     {"explore", "saturation", "diagsum"}),
+    (["canonical", "--name", "S"], {"saturation", "diagsum"}),
     (["canonical", "--name", "Tn:5"], set()),
     (["--help"], set()),
 ]
 
-# Runs ARGV through dstoch.cli.main and prints the exit code and the
-# dstoch modules loaded at the end.
+# Standard-library modules that cost milliseconds to import and that no
+# verb needs: the value records are namedtuples, not dataclasses.
+HEAVY = ("dataclasses", "inspect")
+
+# Runs ARGV through dstoch.cli.main and prints the exit code, the dstoch
+# modules loaded at the end and which of HEAVY are loaded.
 VERB_SCRIPT = """
 import contextlib, io, json, sys
 import dstoch.cli
@@ -139,7 +149,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.partition(".")[0] == "dstoch")]))
+                               if m.partition(".")[0] == "dstoch"),
+                  sorted(m for m in HEAVY if m in sys.modules)]))
 """
 
 # Imports dstoch alone, then resolves every public name, then an unknown
@@ -172,12 +183,17 @@ print(json.dumps({"bare": bare, "wrong": wrong, "cached": cached,
 def test_each_verb_loads_only_its_modules(tmp_path):
     path = tmp_path / "T.json"
     path.write_text(write_matrix(canonical("T")))
+    # what a bare interpreter in this environment already holds
+    bare = _fresh(f"import json, sys\nHEAVY = {HEAVY!r}\n"
+                  "print(json.dumps(sorted(m for m in HEAVY if m in sys.modules)))")
     for argv, extra in VERB_MODULES:
         argv = [str(path) if a == "MATRIX" else a for a in argv]
-        code, loaded = _fresh(f"ARGV = {argv!r}\n" + VERB_SCRIPT)
+        code, loaded, heavy = _fresh(f"ARGV = {argv!r}\nHEAVY = {HEAVY!r}\n"
+                                     + VERB_SCRIPT)
         assert code == 0, argv
         assert loaded == sorted({"dstoch", "dstoch.cli", "dstoch.ratmat"}
                                 | {f"dstoch.{m}" for m in extra}), argv
+        assert heavy == bare, argv
 
 
 def test_package_names_resolve_lazily_to_their_home_module():

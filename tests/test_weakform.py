@@ -291,6 +291,17 @@ def test_weak_saturation_check_exact():
     assert weak_saturation_check(m) is None
 
 
+def test_an_all_positive_weak_solution_besides_j3():
+    # J_3 is the only all-positive saturator, not the only all-positive
+    # solution of the weak form: ||A||^2 = 5/4 is the sum on the diagonal
+    # (0, 2, 1), but the maximal trace is 3/2
+    m = validate_ds(RatMatrix([[F(x, 12) for x in row]
+                               for row in [[4, 7, 1], [4, 1, 7], [4, 4, 4]]]))
+    assert frobenius_sq(m) == F(5, 4)
+    assert weak_saturation_check(m) == Permutation([0, 2, 1])
+    assert not classify3(m).saturated
+
+
 def test_exact_witness_at_the_counterexample_point():
     # (u, v) = (0, -21/20), minus root: the weak form holds (identity
     # permutation) but the trace is not maximal, both decided exactly in
