@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .ratmat import (DomainError, OrderTooLarge, ParseError, make_jn, make_tn,
@@ -25,21 +24,6 @@ def _emit(payload):
 
 def _perm_json(p):
     return list(p)
-
-
-def _threads(args):
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env, source = os.environ.get("DS_THREADS"), "DS_THREADS"
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ParseError(f"DS_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ParseError(f"{source} must be at least 1, got {threads}")
-    return threads
 
 
 # ── subcommand handlers ───────────────────────────────────────────────────
@@ -155,8 +139,7 @@ def cmd_enumerate(args):
         except ValueError:
             raise ParseError("--zero-cell expects two integers I,J, "
                              f"got {args.zero_cell!r}") from None
-    report = explore.enumerate_grid(args.denominator, zero_cell=zero_cell,
-                                    threads=_threads(args))
+    report = explore.enumerate_grid(args.denominator, zero_cell=zero_cell)
     found = []
     for m, c in report.saturating:
         found.append({"matrix": matrix_payload(m), "form": c.form,
@@ -227,9 +210,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ds",
         description="Exact computations on doubly stochastic matrices.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for grid enumeration "
-                             "(default: DS_THREADS or all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):

@@ -37,13 +37,11 @@ Four harnesses:
     exact scan over single column permutations R of A decides it.
 
 All seeded operations use SplitMix64 and are bit-reproducible for a given
-seed, independent of thread count.  numpy and the thread pool are imported
-inside the functions that use them, so `import dstoch` and the exact `ds`
-verbs load neither.  The census loads both (the pool only when it runs
-more than one block); the float tier loads numpy only from order
-NUMPY_MIN_N = 5 on, and below that runs on lists of Python floats with
-numpy's summation order, so `ds probe --n 3` prints the same bytes
-without it.
+seed.  numpy is imported inside the functions that use it, so
+`import dstoch` and the exact `ds` verbs do not load it.  The census loads
+it; the float tier loads it only from order NUMPY_MIN_N = 5 on, and below
+that runs on lists of Python floats with numpy's summation order, so
+`ds probe --n 3` prints the same bytes without it.
 """
 
 import collections
@@ -51,7 +49,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
@@ -196,9 +193,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     doubly stochastic grid points with a zero at (0, 0) one-to-one onto
     those with a zero at (i, j) and keeps the Frobenius norm and the set of
     diagonal sums, hence saturation: that census is the x11 = 0 slice,
-    mapped.  Otherwise threads (at least 1) parallelizes over blocks of x11
-    slices (the report is identical for every thread count); a census that
-    is one block runs in the calling thread.
+    mapped.  threads, if given, must be an integer of at least 1 and is
+    otherwise unused; it is kept because the benchmark harness passes it.
 
     total_candidates is the size (d+1)^4 of the grid the census covers,
     not the number of points scanned: the kernel scans one (x12, x21) per
@@ -209,35 +205,30 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     try:
         d = operator.index(denominator)
         if zero_cell is not None:
-            zero_cell = (operator.index(zero_cell[0]), operator.index(zero_cell[1]))
-    except TypeError:
-        raise DomainError(f"denominator and zero_cell must be integers, got "
-                          f"{denominator!r} and {zero_cell!r}") from None
+            i, j = map(operator.index, zero_cell)
+            zero_cell = (i, j)
+        if threads is not None:
+            threads = operator.index(threads)
+    except (TypeError, ValueError):
+        raise DomainError(f"denominator, threads and zero_cell must be integers "
+                          f"(zero_cell a pair), got {denominator!r}, {threads!r} "
+                          f"and {zero_cell!r}") from None
     if d < 1:
         raise DomainError(f"denominator must be positive, got {d}")
     if d > DENOMINATOR_CAP:
         raise DenominatorTooLarge(d)
-    if zero_cell is not None and not (0 <= zero_cell[0] < 3
-                                      and 0 <= zero_cell[1] < 3):
+    if zero_cell is not None and not (0 <= i < 3 and 0 <= j < 3):
         raise DomainError(f"zero_cell out of range: {zero_cell}")
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
-    # x11 slices per numpy pass, which the thread pool maps over.  A pass's
-    # int64 arrays are what a thread holds at once, so a pass is kept to
-    # about 8 * 61^2 triples (a slice scans about (d + 1 - x11)^2 / 8): the
-    # whole d = 60 census is one pass, and passes shrink as (d + 1)^2
-    # grows, to 4 slices at d = 240.
+    # x11 slices per numpy pass.  A pass holds all its int64 arrays at once,
+    # so to bound peak memory it is kept to about 8 * 61^2 triples (a slice
+    # scans about (d + 1 - x11)^2 / 8): the whole d = 60 census is one pass,
+    # and passes shrink as (d + 1)^2 grows, to 4 slices at d = 240.
     step = max(1, 64 * 61 ** 2 // (d + 1) ** 2)
     blocks = [range(1)] if zero_cell is not None else [
         range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
-    if threads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            passes = list(pool.map(lambda b: _census_block(d, b), blocks))
-    else:
-        passes = [_census_block(d, b) for b in blocks]
+    passes = [_census_block(d, b) for b in blocks]
     ds_count = sum(c for c, _ in passes)
     # a point can be a root at more than one diagonal, and the image of a
     # cell under more than one of the eight maps
@@ -245,7 +236,6 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
               [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
              for x11, x12, x21, x22 in {c for _, found in passes for c in found}]
     if zero_cell is not None:
-        i, j = zero_cell
         r, c = [i, 1, 2], [j, 1, 2]
         r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
         grids = [[[g[a][b] for b in c] for a in r] for g in grids]

@@ -188,23 +188,29 @@ def test_boundary_json_stable(capsys):
 
 
 def test_enumerate_small(capsys):
-    code, out, _ = run(capsys, "--threads", "1", "enumerate",
-                       "--denominator", "2")
+    code, out, _ = run(capsys, "enumerate", "--denominator", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["ds_count"] == 21
     assert len(payload["saturating"]) == 21
 
 
-def test_ds_threads_env_does_not_change_bytes(capsys, monkeypatch):
-    _, single, _ = run(capsys, "--threads", "1", "enumerate",
-                       "--denominator", "5")
-    monkeypatch.setenv("DS_THREADS", "2")
-    _, multi, _ = run(capsys, "enumerate", "--denominator", "5")
-    assert single == multi
+def test_threads_flag_is_gone_and_ds_threads_is_ignored(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "enumerate", "--denominator", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "thread" not in capsys.readouterr().out.lower()
+    _, plain, _ = run(capsys, "enumerate", "--denominator", "5")
+    monkeypatch.setenv("DS_THREADS", "abc")
+    code, out, _ = run(capsys, "enumerate", "--denominator", "5")
+    assert code == 0 and out == plain
 
 
-# sha256 of the stdout of `ds --threads 1 enumerate --denominator 60`, with
+# sha256 of the stdout of `ds enumerate --denominator 60`, with
 # no zero cell and with --zero-cell 2,1, as the full-grid sweep printed it
 CENSUS_60_SHA256 = {
     None: "17cf44aab143eea3ba9cb895bf279122e77f255242246176705d232e2f1a4844",
@@ -212,19 +218,22 @@ CENSUS_60_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+# runs=2 runs the census twice in one process: whatever the first run
+# leaves cached must not change the bytes of the second
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("zero_cell", [None, "2,1"])
-def test_enumerate_d60_bytes_golden(capsys, threads, zero_cell):
-    argv = ["--threads", threads, "enumerate", "--denominator", "60"]
+def test_enumerate_d60_bytes_golden(capsys, zero_cell, runs):
+    argv = ["enumerate", "--denominator", "60"]
     if zero_cell:
         argv += ["--zero-cell", zero_cell]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_60_SHA256[zero_cell]
+    for _ in range(runs):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_60_SHA256[zero_cell]
 
 
-# sha256 of the stdout of `ds --threads 1 enumerate --denominator 60
-# --zero-cell I,J` for the other eight cells, as the slice-by-slice census
+# sha256 of the stdout of `ds enumerate --denominator 60 --zero-cell I,J`
+# for the other eight cells, as the slice-by-slice census
 # with a per-cell mask printed it
 ZERO_CELL_60_SHA256 = {
     "0,0": "8f5def1f04cc602750c106c5fa46dcb9a1359d27e67ec202822639c1be68c4e1",
@@ -240,33 +249,18 @@ ZERO_CELL_60_SHA256 = {
 
 @pytest.mark.parametrize("zero_cell", sorted(ZERO_CELL_60_SHA256))
 def test_enumerate_d60_zero_cell_bytes_golden(capsys, zero_cell):
-    code, out, _ = run(capsys, "--threads", "1", "enumerate",
-                       "--denominator", "60", "--zero-cell", zero_cell)
+    code, out, _ = run(capsys, "enumerate", "--denominator", "60",
+                       "--zero-cell", zero_cell)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ZERO_CELL_60_SHA256[zero_cell]
 
 
-@pytest.mark.parametrize("zero_cell", ["5", "a,b"])
+@pytest.mark.parametrize("zero_cell", ["5", "a,b", "1,0,5"])
 def test_enumerate_bad_zero_cell_exits_2(capsys, zero_cell):
     code, out, err = run(capsys, "enumerate", "--denominator", "2",
                          "--zero-cell", zero_cell)
     assert code == 2 and out == ""
     assert err.startswith("ds: ") and err.count("\n") == 1
-
-
-def test_enumerate_bad_ds_threads_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("DS_THREADS", "abc")
-    code, out, err = run(capsys, "enumerate", "--denominator", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("ds: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("env", ["0", "-5"])
-def test_enumerate_ds_threads_below_one_exits_2(capsys, monkeypatch, env):
-    monkeypatch.setenv("DS_THREADS", env)
-    code, out, err = run(capsys, "enumerate", "--denominator", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("ds: parse error: DS_THREADS") and err.count("\n") == 1
 
 
 def test_products_deterministic(capsys):
@@ -335,11 +329,9 @@ _DIRECTORY = object()  # the matrix argument names a directory
     (["check"], b"\xff\xfe1,0\n0,1\n", "not UTF-8"),
     (["gap"], _DIRECTORY, "is a directory"),
     (["check"], '{"rows":' * 100_000, "nests too deeply"),
-    (["--threads", "0", "enumerate", "--denominator", "2"], None, "--threads"),
-    (["--threads", "-5", "enumerate", "--denominator", "2"], None, "--threads"),
 ], ids=["rows-not-list", "empty", "tn-not-int", "csv-long-entry",
         "json-long-number", "csv-blank-lines", "not-utf8", "directory",
-        "deep-json", "threads-zero", "threads-negative"])
+        "deep-json"])
 def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     if text is _DIRECTORY:
         argv = argv + [str(tmp_path)]

@@ -1,5 +1,5 @@
-"""Start-up cost: the exact verbs run without numpy or the thread pool, and
-each verb loads only the dstoch modules it calls.
+"""Start-up cost: the exact verbs run without numpy, no verb loads a thread
+pool, and each verb loads only the dstoch modules it calls.
 
 The load checks run in a fresh interpreter, so the modules that the test
 session has already imported do not count.
@@ -107,13 +107,12 @@ def test_probe_and_enumerate_load_numpy_on_demand(tmp_path):
     path.write_text(write_matrix(random_ds(12, 5, seed=19)))
     perm = _run([["permanent", str(path)]], False)
     assert perm["loaded"]["numpy"] and [code for _, code in perm["runs"]] == [0]
-    census = _run([["--threads", "2", "enumerate", "--denominator", "122"]], False)
-    assert census["loaded"] == {"numpy": True, "concurrent.futures": True}
-    assert [code for _, code in census["runs"]] == [0]
-    # a census that is a single numpy pass runs in the calling thread
-    single = _run([["--threads", "2", "enumerate", "--denominator", "60"]], False)
-    assert single["loaded"] == {"numpy": True, "concurrent.futures": False}
-    assert [code for _, code in single["runs"]] == [0]
+    # every census runs its numpy passes in the calling thread: one pass at
+    # d = 60, many at d = 122 and at the cap
+    for d in ("60", "122", "240"):
+        census = _run([["enumerate", "--denominator", d]], False)
+        assert census["loaded"] == {"numpy": True, "concurrent.futures": False}, d
+        assert [code for _, code in census["runs"]] == [0], d
 
 
 # An argv (MATRIX stands for a file holding T) and the modules it loads
