@@ -11,12 +11,14 @@ Four harnesses:
     saturation at each of the six diagonals is an integer quadratic in x22
     (solved exactly).  That is O(d^3) work instead of a sweep over the
     (d+1)^4 grid, cut by about 8 more by scanning one (x12, x21) per orbit
-    of the eight symmetries that fix x11 and keep saturation.  A census
-    with a zero cell is one x11 = 0 slice, O(d^2), mapped onto the cell by
-    a row and a column swap.  total_candidates still reports the (d+1)^4
-    grid.  Vectorized with int64 numpy; the largest intermediate, the
-    discriminant, is O(d^2), so nothing comes near 2^53 for
-    d <= DENOMINATOR_CAP.
+    of the eight symmetries that fix x11 and keep saturation; the scanned
+    (x12, x21) of a slice are a prefix of one triangle, built by position.
+    A census with a zero cell is one x11 = 0 slice, O(d^2), mapped onto
+    the cell by a row and a column swap.  total_candidates still reports
+    the (d+1)^4 grid.  Vectorized with int32 numpy: the largest
+    intermediate, the discriminant, is at most 208 d^2 in absolute value,
+    12.0 million at d = DENOMINATOR_CAP, far below 2^31.  Each grid value
+    x / d is built as a Fraction once per census.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -106,6 +108,30 @@ class ProbeReport(collections.namedtuple("ProbeReport", "n samples seed tol cand
 
 # ── exhaustive grid census ────────────────────────────────────────────────
 
+def _scanned_triples(d, x11s):
+    """The (x11, x12, x21) triples the census scans in the x11 slices of
+    x11s, as three int32 arrays: per slice, x12 <= x21 and 2 x21 <= m with
+    m = d - x11.
+
+    Ordered by x21, then x12, the pairs x12 <= x21 form one triangle, and
+    a slice scans its prefix x21 <= h = m // 2, of length
+    (h + 1) (h + 2) / 2.  So each slice's pairs are read off the largest
+    slice's triangle by position, without a mask over the square.
+    """
+    import numpy as np
+    x11s = np.asarray(x11s, dtype=np.int32)
+    h = (d - x11s) // 2
+    sizes = (h + 1) * (h + 2) // 2
+    top = int(h.max())
+    # the triangle: x21 = j holds the x12 = 0..j, from position j (j + 1) / 2
+    x21 = np.repeat(np.arange(top + 1, dtype=np.int32), np.arange(1, top + 2))
+    x12 = np.arange(len(x21), dtype=np.int32) - x21 * (x21 + 1) // 2
+    # position of each scanned pair in its slice's prefix
+    pos = (np.arange(int(sizes.sum()), dtype=np.int32)
+           - np.repeat(np.cumsum(sizes, dtype=np.int32) - sizes, sizes))
+    return np.repeat(x11s, sizes), x12[pos], x21[pos]
+
+
 def _census_block(d, x11s):
     """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
 
@@ -126,16 +152,20 @@ def _census_block(d, x11s):
     (x12, x21), with m = d - x11, the eight maps they generate are the
     symmetries of the square (x12 -> m - x12, x21 -> m - x21,
     x12 <-> x21), so only one (x12, x21) per orbit is scanned: x12 <= x21
-    and 2 x21 <= m.  Each triple's count is weighted by its orbit size,
-    and each saturating cell is returned with its images under the eight
-    maps.
+    and 2 x21 <= m, a prefix of one triangle (_scanned_triples).  Each
+    triple's count is weighted by its orbit size, and each saturating cell
+    is returned with its images under the eight maps.
+
+    The arithmetic runs in int32.  Every quantity is bounded by a small
+    multiple of d^2: |q| <= 8 d, 0 <= K <= 8 d^2 and -d^2 <= d alpha <=
+    3 d^2 (alpha, a diagonal sum at t = 0, can be negative when 0 lies
+    outside the interval), so the discriminant q^2 - 16 (K - d alpha) has
+    |disc| <= 64 d^2 + 144 d^2 = 208 d^2, 12.0 million at
+    d = DENOMINATOR_CAP, far below 2^31.  Only the doubly stochastic
+    count, about 4.3e8 at the cap, is summed in int64.
     """
     import numpy as np
-    x11s = np.asarray(x11s, dtype=np.int64)
-    r = np.arange(d + 1, dtype=np.int64)
-    s, x12, x21 = np.nonzero((r[None, :, None] <= r[None, None, :])
-                             & (2 * r[None, None, :] <= d - x11s[:, None, None]))
-    x11 = x11s[s]
+    x11, x12, x21 = _scanned_triples(d, x11s)
     m = d - x11
     x13 = m - x12
     x31 = m - x21
@@ -143,7 +173,7 @@ def _census_block(d, x11s):
     lo = np.maximum(0, -c)
     hi = np.minimum(a, b)
     orbit_size = (1 + (2 * x12 != m)) * (1 + (2 * x21 != m)) * (1 + (x12 != x21))
-    ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum())
+    ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum(dtype=np.int64))
     if ds_count == 0:
         return 0, []
     k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
@@ -159,7 +189,7 @@ def _census_block(d, x11s):
         q = linear - d * beta
         disc = q * q - 16 * (k - d * alpha)
         # disc < 2^53, so the float root of a perfect square is exact
-        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int32)
         idx = np.flatnonzero(root * root == disc)
         root, q = root[idx], q[idx]
         for num in (root - q, -root - q):
@@ -240,7 +270,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
         r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
         grids = [[[g[a][b] for b in c] for a in r] for g in grids]
     # row-major order of the rows is the order of (x11, x12, x21, x22)
-    found = [DoublyStochastic([[Fraction(x, d) for x in row] for row in g])
+    value = [Fraction(x, d) for x in range(d + 1)]  # every entry lies in [0, d]
+    found = [DoublyStochastic([[value[x] for x in row] for row in g])
              for g in sorted(grids)]
     return EnumerationReport(d, (d + 1) ** 4, ds_count,
                              tuple((m, classify3(m)) for m in found))

@@ -440,8 +440,10 @@ def _parse_matrix_json(text):
     if not isinstance(rows, list) or not rows:
         raise ParseError('"rows" must be a non-empty list of rows')
     n = payload.get("n", len(rows))
+    if type(n) is not int:  # JSON's true and false load as bool, an int subclass
+        raise ParseError('"n" must be an integer')
     if len(rows) != n:
-        raise ParseError(f'"rows" must hold {n!r} rows, got {len(rows)}')
+        raise ParseError(f'"rows" must hold {n} rows, got {len(rows)}')
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:

@@ -329,9 +329,14 @@ _DIRECTORY = object()  # the matrix argument names a directory
     (["check"], b"\xff\xfe1,0\n0,1\n", "not UTF-8"),
     (["gap"], _DIRECTORY, "is a directory"),
     (["check"], '{"rows":' * 100_000, "nests too deeply"),
+    (["check"], '{"n":true,"rows":[["1"]]}', '"n" must be an integer'),
+    (["check"], '{"n":2.0,"rows":[["1","0"],["0","1"]]}', '"n" must be an integer'),
+    (["check"], '{"n":"2","rows":[["1","0"],["0","1"]]}', '"n" must be an integer'),
+    (["check"], '{"n":null,"rows":[["1"]]}', '"n" must be an integer'),
+    (["check"], '{"n":[1],"rows":[["1"]]}', '"n" must be an integer'),
 ], ids=["rows-not-list", "empty", "tn-not-int", "csv-long-entry",
         "json-long-number", "csv-blank-lines", "not-utf8", "directory",
-        "deep-json"])
+        "deep-json", "n-bool", "n-float", "n-string", "n-null", "n-list"])
 def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     if text is _DIRECTORY:
         argv = argv + [str(tmp_path)]

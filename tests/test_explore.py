@@ -37,7 +37,8 @@ from dstoch import (
     validate_ds,
 )
 from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
-                            _frob_sq, _pairwise_sum, _sinkhorn_numpy)
+                            _frob_sq, _pairwise_sum, _scanned_triples,
+                            _sinkhorn_numpy)
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -230,14 +231,20 @@ def test_maps_fixing_x11_keep_norm_and_diagonal_sums():
                         == sorted(sum(b[i][p[i]] for i in range(3)) for p in perms))
 
 
+def _scanned_pairs(m):
+    """The (x12, x21) the census scans in a slice with m = d - x11, as a
+    mask over the square [0, m]^2: x12 <= x21 and 2 x21 <= m."""
+    x12, x21 = np.nonzero(np.tri(m + 1, dtype=bool).T)  # x12 <= x21
+    keep = 2 * x21 <= m
+    return x12[keep], x21[keep]
+
+
 def test_scanned_orbits_tile_the_square():
     # The census scans x12 <= x21, 2 x21 <= m of the square [0, m]^2 and
     # weights each point by (1 + [2 x12 != m]) (1 + [2 x21 != m])
     # (1 + [x12 != x21]); m = d - x11 runs up to DENOMINATOR_CAP.
     for m in range(DENOMINATOR_CAP + 2):
-        x12, x21 = np.nonzero(np.tri(m + 1, dtype=bool).T)  # x12 <= x21
-        keep = 2 * x21 <= m
-        x12, x21 = x12[keep], x21[keep]
+        x12, x21 = _scanned_pairs(m)
         weight = ((1 + (2 * x12 != m)) * (1 + (2 * x21 != m))
                   * (1 + (x12 != x21)))
         assert weight.sum() == (m + 1) ** 2, m
@@ -249,6 +256,48 @@ def test_scanned_orbits_tile_the_square():
         assert (orbit_size == weight).all(), m
         # the orbits are disjoint and cover the square
         assert len(np.unique(codes)) == (m + 1) ** 2, m
+
+
+def test_scanned_triples_are_the_masked_pairs():
+    # the triangle-prefix builder, slice by slice against the mask, for all
+    # x11 at once and for a pass that starts past x11 = 0
+    for d in list(range(1, 61)) + [122, 240]:
+        for x11s in (range(d + 1), range(d // 3, d + 1)):
+            x11, x12, x21 = _scanned_triples(d, x11s)
+            assert x11.dtype == x12.dtype == x21.dtype == np.int32
+            assert np.array_equal(np.unique(x11), np.array(x11s))
+            for s in x11s:
+                here = x11 == s
+                got = sorted(zip(x12[here].tolist(), x21[here].tolist()))
+                want = sorted(zip(*(v.tolist() for v in _scanned_pairs(d - s))))
+                assert got == want, (d, s)
+
+
+def test_census_arithmetic_fits_int32():
+    # The census kernel runs in int32.  Recompute its largest intermediates
+    # in int64 over every (x12, x21) of every slice at the cap (a superset
+    # of the scanned triples): q^2, 16 (K - d alpha) and the discriminant
+    # of each diagonal's quadratic 4 t^2 + q t + (K - d alpha).
+    d = DENOMINATOR_CAP
+    largest = {"q^2": 0, "16(K - d alpha)": 0, "disc": 0}
+    r = np.arange(d + 1, dtype=np.int64)
+    for x11 in range(d + 1):
+        m = d - x11
+        x12, x21 = r[:m + 1, None], r[None, :m + 1]
+        x13, x31 = m - x12, m - x21
+        a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
+        k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
+             + a * a + b * b + c * c)
+        for alpha, beta in ((x11 + c, 2), (x11 + a + b, -2), (x12 + x21 + c, 1),
+                            (x12 + x31 + a, -1), (x13 + x21 + b, -1),
+                            (x13 + x31, 1)):
+            q = 2 * (c - a - b) - d * beta
+            constant = 16 * (k - d * alpha)
+            for name, v in (("q^2", q * q), ("16(K - d alpha)", constant),
+                            ("disc", q * q - constant)):
+                largest[name] = max(largest[name], int(np.abs(v).max()))
+    for name, v in largest.items():
+        assert v <= 208 * d * d < 2 ** 31, (name, v)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +325,8 @@ def test_enumerate_zero_cell_is_the_filtered_census(census_60, zero_cell):
 def test_enumerate_ds_count_matches_macmahon():
     # MacMahon: the 3 x 3 nonnegative integer matrices with every row and
     # column summing to d number C(d+4,4) + C(d+3,4) + C(d+2,4)
-    for d in (1, 2, 3, 5, 7, 11, 16, 29, 47, 60):
+    # d > 60 splits the census into several passes
+    for d in (1, 2, 3, 5, 7, 11, 16, 29, 47, 60, 61, 122, 239, 240):
         expected = comb(d + 4, 4) + comb(d + 3, 4) + comb(d + 2, 4)
         assert enumerate_grid(d).ds_count == expected
     assert comb(64, 4) + comb(63, 4) + comb(62, 4) == 1_788_886
