@@ -22,10 +22,6 @@ def _emit(payload):
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _perm_json(p):
-    return list(p)
-
-
 # ── subcommand handlers ───────────────────────────────────────────────────
 # Each handler imports the module it calls, so a `ds` process loads only
 # the modules of its verb; ratmat stays at the top for main's error types.
@@ -50,7 +46,7 @@ def cmd_maxtrace(args):
     else:
         report = diagsum.max_trace_assignment(m)
     _emit({"max_trace": str(report.max_value),
-           "argmax": _perm_json(report.argmax), "method": report.method})
+           "argmax": list(report.argmax), "method": report.method})
 
 
 def cmd_permanent(args):
@@ -61,7 +57,7 @@ def cmd_permanent(args):
 def cmd_maxprod(args):
     from . import diagsum
     value, perm = diagsum.max_diag_product(read_matrix(args.matrix))
-    _emit({"max_product": str(value), "argmax": _perm_json(perm)})
+    _emit({"max_product": str(value), "argmax": list(perm)})
 
 
 def cmd_classify(args):
@@ -70,12 +66,14 @@ def cmd_classify(args):
     if m.n == 2:
         _emit({"saturated": saturation.classify2(m)})
         return
+    if m.n != 3:
+        raise DomainError(f"classify supports orders 2 and 3, got {m.n}")
     c = saturation.classify3(m)
     if c.saturated:
         _emit({"saturated": True, "form": c.form,
-               "P": _perm_json(c.witness[0]), "Q": _perm_json(c.witness[1])})
+               "P": list(c.witness[0]), "Q": list(c.witness[1])})
     else:
-        _emit({"saturated": False, "separator": _perm_json(c.separator)})
+        _emit({"saturated": False, "separator": list(c.separator)})
 
 
 def cmd_region(args):
@@ -143,15 +141,14 @@ def cmd_enumerate(args):
     found = []
     for m, c in report.saturating:
         found.append({"matrix": matrix_payload(m), "form": c.form,
-                      "P": _perm_json(c.witness[0]), "Q": _perm_json(c.witness[1])})
+                      "P": list(c.witness[0]), "Q": list(c.witness[1])})
     _emit({"denominator": report.denominator,
            "total_candidates": report.total_candidates,
            "ds_count": report.ds_count, "saturating": found})
 
 
 def _spec_json(spec):
-    return {"p": _perm_json(spec.p), "parts": list(spec.parts),
-            "q": _perm_json(spec.q)}
+    return {"p": list(spec.p), "parts": list(spec.parts), "q": list(spec.q)}
 
 
 def cmd_products(args):
@@ -165,7 +162,7 @@ def cmd_products(args):
                     "product": matrix_payload(probe.product),
                     "frob_sq": str(probe.frob_sq),
                     "max_trace": str(probe.max_trace),
-                    "trace_perm": _perm_json(probe.trace_perm),
+                    "trace_perm": list(probe.trace_perm),
                     "identity_holds": probe.identity_holds,
                     "saturates": probe.saturates})
     _emit({"n": args.n, "samples": args.samples, "seed": args.seed,

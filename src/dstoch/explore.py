@@ -41,8 +41,8 @@ Four harnesses:
 All seeded operations use SplitMix64 and are bit-reproducible for a given
 seed.  numpy is imported inside the functions that use it, so
 `import dstoch` and the exact `ds` verbs do not load it.  The census loads
-it; the float tier loads it only from order NUMPY_MIN_N = 5 on, and below
-that runs on lists of Python floats with numpy's summation order, so
+it; the float tier only for Sinkhorn from order NUMPY_MIN_N = 5 on, and
+otherwise runs on lists of Python floats in numpy's summation order, so
 `ds probe --n 3` prints the same bytes without it.
 """
 
@@ -61,7 +61,7 @@ from .saturation import CANONICAL_TAGS, canonical, classify3
 
 DENOMINATOR_CAP = 240
 ASYMMETRY_CAP = 8
-PROBE_CAP = 64  # largest order the exact gap path is benchmarked at
+PROBE_CAP = 64  # largest order rationality_probe accepts
 
 
 class DenominatorTooLarge(DomainError):
@@ -174,8 +174,6 @@ def _census_block(d, x11s):
     hi = np.minimum(a, b)
     orbit_size = (1 + (2 * x12 != m)) * (1 + (2 * x21 != m)) * (1 + (x12 != x21))
     ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum(dtype=np.int64))
-    if ds_count == 0:
-        return 0, []
     k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
          + a * a + b * b + c * c)
     # diagonals x11 x22 x33, x11 x23 x32, x12 x21 x33, x12 x23 x31,
@@ -325,7 +323,7 @@ def search_products(n, max_parts, samples, seed):
 
 # ── float tier: Sinkhorn, reconstruction, probing ─────────────────────────
 
-NUMPY_MIN_N = 5  # from this order on, Sinkhorn and the Frobenius sum run in numpy
+NUMPY_MIN_N = 5  # from this order on, Sinkhorn runs in numpy
 
 
 def sinkhorn(x):
@@ -351,10 +349,9 @@ def sinkhorn(x):
     n <= 4 the float body also spares `ds probe` numpy's import (about
     70 ms).  The results are bit-identical, because the float body adds
     in numpy's order: a row of fewer than 8 doubles left to right (numpy's
-    pairwise sum below its 8-accumulator block), the column sums one row
-    after another; the divisions are elementwise in both.  From order 8 on
-    numpy's row sums take the 8-accumulator path, so the float body stops
-    matching there.
+    pairwise sum below its 8-accumulator block, which its row sums take
+    from order 8 on), the column sums one row after another; the divisions
+    are elementwise in both.
 
     A matrix whose support decomposes (a block sum such as the identity
     plus 1e-9 noise) balances only slowly and runs all 10,000 passes;
@@ -404,15 +401,19 @@ def _sinkhorn_numpy(x):
 
 
 def _pairwise_sum(values):
-    """numpy's float64 sum of 1 to 128 values, in its order: left to right
-    below 8; otherwise eight interleaved accumulators, combined as
+    """numpy's float64 sum of a list, in its order: left to right below 8
+    values; up to 128, eight interleaved accumulators, combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
-    to right.  (The builtin sum compensates its rounding from Python 3.12
-    on, so it is not used.)"""
-    if len(values) < 8:
+    to right; above, the sum of two halves, the first n // 2 cut down to a
+    multiple of 8.  (The builtin sum compensates from Python 3.12 on.)"""
+    n = len(values)
+    if n < 8:
         return functools.reduce(operator.add, values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
     r = values[:8]
-    tail = len(values) - len(values) % 8
+    tail = n - n % 8
     for i in range(8, tail, 8):
         r = [a + b for a, b in zip(r, values[i:i + 8])]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -422,11 +423,7 @@ def _pairwise_sum(values):
 def _frob_sq(rows):
     """Squared Frobenius norm of a list-of-lists float matrix, bit-identical
     to numpy's (x * x).sum()."""
-    if len(rows) < NUMPY_MIN_N:
-        return _pairwise_sum([v * v for row in rows for v in row])
-    import numpy as np
-    x = np.array(rows)
-    return float((x * x).sum())
+    return _pairwise_sum([v * v for row in rows for v in row])
 
 
 def snap_rational(x, max_den=10 ** 6, tol=1e-7):

@@ -207,6 +207,11 @@ class RatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
+    def __reduce__(self):
+        # through the constructor: slot state cannot pass __setattr__, and a
+        # DoublyStochastic is re-validated on load
+        return type(self), (self.rows,)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -31,8 +31,6 @@ from . import diagsum
 
 _F = Fraction
 
-CANONICAL_TAGS = ("I3", "J3", "I1_J2", "S", "T", "R")
-
 EQUIVALENCE_CAP = 8
 
 _CANONICAL_ROWS = {
@@ -49,6 +47,8 @@ _CANONICAL_ROWS = {
           [0, _F(3, 5), _F(2, 5)],
           [_F(2, 5), _F(2, 5), _F(1, 5)]],
 }
+
+CANONICAL_TAGS = tuple(_CANONICAL_ROWS)
 
 
 class Classification(collections.namedtuple(

@@ -367,14 +367,24 @@ def test_bad_input_is_one_parse_error_line(capsys, tmp_path, argv, text, where):
     ["products", "--n", "0", "--samples", "3", "--seed", "0"],
     ["products", "--n", "3", "--samples", "3", "--seed", "0", "--max-parts", "0"],
     ["products", "--n", "3", "--samples", "-1", "--seed", "0"],
+    # a trailing RatMatrix stands for a file holding it
+    ["classify", random_ds(1, 1, seed=0)],
+    ["classify", random_ds(4, 3, seed=1)],
 ], ids=["tn-order", "jn-order", "step-nan", "max-inf", "step-tiny", "min-nan",
         "tol-nan", "samples-negative", "n-negative", "probe-order",
-        "products-n-zero", "products-parts-zero", "products-samples-negative"])
-def test_unbounded_request_is_one_domain_error_line(capsys, argv):
+        "products-n-zero", "products-parts-zero", "products-samples-negative",
+        "classify-order-1", "classify-order-4"])
+def test_unbounded_request_is_one_domain_error_line(capsys, tmp_path, argv):
+    if isinstance(argv[-1], RatMatrix):
+        path = tmp_path / "m.json"
+        path.write_text(write_matrix(argv[-1]))
+        order, argv = argv[-1].n, argv[:-1] + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("ds: ") and err.count("\n") == 1
     assert not err.startswith("ds: parse error")
+    if argv[0] == "classify":
+        assert err == f"ds: classify supports orders 2 and 3, got {order}\n"
 
 
 _FRACTIONS = st.fractions(min_value=-1, max_value=2, max_denominator=6).map(str)

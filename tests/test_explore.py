@@ -37,8 +37,8 @@ from dstoch import (
     validate_ds,
 )
 from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
-                            _frob_sq, _pairwise_sum, _scanned_triples,
-                            _sinkhorn_numpy)
+                            PROBE_CAP, _frob_sq, _pairwise_sum,
+                            _scanned_triples, _sinkhorn_numpy)
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -422,10 +422,13 @@ def test_sinkhorn_floats_match_the_numpy_body():
 
 
 def test_pairwise_sum_is_numpys_sum():
+    """numpy's order at every length the probe reaches, up to PROBE_CAP^2:
+    the 8-accumulator block from 8 values on, and the halving above 128."""
     rng = SplitMix64(0x5A3)
     reordered = 0
-    for length in range(1, 17):
-        for _ in range(20):
+    lengths = [*range(1, 301), 511, 512, 513, 1024, 4095, PROBE_CAP ** 2]
+    for length in lengths:
+        for _ in range(20 if length <= 16 else 2):
             values = [rng.random() * 10.0 ** rng.randint(-8, 8)
                       for _ in range(length)]
             total = _pairwise_sum(values)
@@ -433,7 +436,7 @@ def test_pairwise_sum_is_numpys_sum():
             reordered += total != sum(values)
     # left to right is not numpy's order from 8 values on
     assert reordered > 0
-    for n in range(1, NUMPY_MIN_N + 2):
+    for n in range(1, PROBE_CAP + 1):
         x = np.array([[rng.random() * 10.0 ** rng.randint(-4, 4) for _ in range(n)]
                       for _ in range(n)])
         assert _frob_sq(x.tolist()) == float((x * x).sum())

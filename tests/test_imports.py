@@ -115,6 +115,24 @@ def test_probe_and_enumerate_load_numpy_on_demand(tmp_path):
         assert [code for _, code in census["runs"]] == [0], d
 
 
+# Sums the squares of a PROBE_CAP x PROBE_CAP matrix with numpy poisoned.
+FROB_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+from dstoch.explore import PROBE_CAP, _frob_sq
+rows = [[(i * PROBE_CAP + j) / 7 for j in range(PROBE_CAP)]
+        for i in range(PROBE_CAP)]
+print(json.dumps([PROBE_CAP, _frob_sq(rows)]))
+"""
+
+
+def test_probe_frobenius_sum_runs_without_numpy():
+    import numpy as np
+    n, frob_sq = _fresh(FROB_SCRIPT)
+    x = np.arange(n * n, dtype=float).reshape(n, n) / 7
+    assert frob_sq == float((x * x).sum())
+
+
 # An argv (MATRIX stands for a file holding T) and the modules it loads
 # besides dstoch, dstoch.cli and dstoch.ratmat; "--help" stops in argparse
 # before any handler runs.

@@ -1,5 +1,7 @@
 """Types, constructors, validation, and serialization."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from math import lcm
 
@@ -17,7 +19,9 @@ from dstoch import (
     SplitMix64,
     all_permutations,
     block_j_form,
+    canonical,
     direct_sum,
+    enumerate_grid,
     make_jn,
     make_tn,
     marcus_ree_gap,
@@ -346,3 +350,26 @@ def test_parse_rejects_decimals_with_position():
 def test_parse_bad_json_reports_location():
     with pytest.raises(ParseError):
         parse_matrix('{"n":2,"rows":[["1","0"],["0","1"]')
+
+
+# ── pickling and copying ──────────────────────────────────────────────────
+
+@pytest.mark.parametrize("value", [
+    canonical("S"), RatMatrix([[1, 2], [F(-1, 3), 0]]), random_ds(4, 3, seed=1),
+    enumerate_grid(12)], ids=["S", "not-ds", "random-ds", "census"])
+def test_pickle_and_copy_round_trip(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                  copy.deepcopy(value)):
+        assert clone == value and type(clone) is type(value)
+        assert repr(clone) == repr(value)
+        if isinstance(clone, RatMatrix):
+            with pytest.raises(AttributeError):
+                clone.rows = ()
+
+
+def test_unpickled_doubly_stochastic_is_revalidated(monkeypatch):
+    data = pickle.dumps(canonical("S"))
+    checked = []
+    monkeypatch.setattr(dstoch.ratmat, "_check_ds", checked.append)
+    assert pickle.loads(data) == canonical("S")
+    assert checked == [canonical("S")]
