@@ -17,8 +17,10 @@ in exact rational arithmetic:
     costs more than the whole sum.  From order 12 on the same sum runs in
     int64 numpy blocks of 2^11 sign vectors, with the rows cut into runs
     whose bounds sum_j |a_ij| multiply to less than 2^62, so each run's
-    product is exact in int64; the run products are multiplied as Python
-    ints.  A row bound of 2^62 or more sends the matrix to the loop;
+    product is exact in int64; the run products are joined exactly in
+    21-bit limbs, and a block sums in one small float64 matmul whose
+    entries stay below 2^53.  A row bound of 2^62 or more sends the matrix
+    to the loop;
   * the Marcus-Ree gap max_tr(A) - ||A||_F^2, which is >= 0 for every
     doubly stochastic A and whose vanishing ("saturation") is the
     classification problem handled in `saturation`.
@@ -232,6 +234,8 @@ def max_trace_value(rows):
 VECTOR_MIN_N = 12        # from this order on, the Glynn sum runs in numpy
 FLIP_BLOCK = 11          # sign vectors per numpy block: 2^FLIP_BLOCK
 INT64_BOUND = 1 << 62    # every int64 run product stays below this
+LIMB = 21                # bits per limb of a block's exact sum
+_LIMB_MASK = (1 << LIMB) - 1
 
 
 def permanent(a):
@@ -250,7 +254,11 @@ def permanent(a):
     Xeon), so `ds permanent` on small files (n = 8 in common use) never
     loads numpy.  From order 12 on `_glynn_int64` sums 2^11 sign vectors
     per numpy block, with each row product cut into runs whose bounds
-    multiply to less than 2^62, so that int64 holds every run exactly.
+    multiply to less than 2^62, so that int64 holds every run exactly.  The
+    runs of each half multiply out in 21-bit limbs with a carry pass after
+    every multiply, and the block's sum is one (limbs x limbs) float64
+    matmul of the two halves' limbs, every entry below 2^11 * 2^42 = 2^53
+    and so exact; `_glynn_int64` states the bound of each intermediate.
     """
     n = a.n
     if n > PERMANENT_CAP:
@@ -302,46 +310,96 @@ def _glynn_int64(grid, runs):
     """The integer Glynn sum 2^(n-1) perm(grid) in int64 numpy blocks.
 
     The row sums of all 2^m sign patterns on flip columns 1..m are built
-    once by doubling; the remaining columns are walked in Gray-code order as
-    one shift vector added to every pattern.  Each of the row runs (slices
-    from `_int64_runs`) multiplies out in int64, and the few run products
-    are multiplied and summed as Python ints.
+    once by doubling; the remaining columns are walked in Gray-code order,
+    each step adding one column's shift to every pattern.  In a block, each
+    row run (a slice from `_int64_runs`) multiplies out in int64 and the
+    pattern signs join the first run.  The runs fall into two halves (the
+    second gets a run of ones when their count R is odd), and each half's
+    product is formed exactly in 21-bit limbs: every run product splits
+    into three limbs, low ones in [0, 2^21) and a signed top one, and a
+    half's product grows by limb convolution with one run at a time, each
+    multiply followed by a carry pass.  With E and F the two halves' limb
+    rows over the block, the block's sum is sum_ij 2^(21(i+j)) (E F^T)_ij,
+    one small float64 matmul; the signed matmuls of all blocks add up in
+    int64 and the powers of two are applied once, in Python ints.
 
-    No int64 value overflows.  `permanent` sends only row bounds
-    r_i = sum_j |g_ij| < 2^62 here.  Every row sum obeys
-    |sum_j d_j g_ij| <= r_i, and every shift or step, twice a sum of some
-    of row i's entries, is at most 2 r_i < 2^63.  A product of any of a
-    run's row sums, in whatever order np.prod forms it, is at most the
-    product of those rows' max(r_i, 1), which `_int64_runs` keeps below
-    2^62.
+    No value overflows the type that holds it, for any R from 1 to n:
+
+      * row sums |sum_j d_j g_ij| <= r_i = sum_j |g_ij| < 2^62 (`permanent`
+        sends only those), and every shift, twice a sum of some of row
+        i's entries, is at most 2 r_i < 2^63;
+      * a product of any of a run's row sums, in whatever order numpy
+        forms it and with the sign, is at most the product of those rows'
+        max(r_i, 1), which `_int64_runs` keeps below 2^62;
+      * a run product P splits as P & M, P >> 21 & M and P >> 42 with
+        M = 2^21 - 1: two limbs in [0, 2^21) and a top limb in
+        [-2^20, 2^20);
+      * a half's product of j + 1 runs (|value| < 2^(62(j+1))) is one of j
+        runs in 3j limbs times a run in 3: each of its 3j + 2 columns sums
+        at most three limb products, each below 2^42 in magnitude, so
+        |column| < 3 * 2^42; the carry into a column is at most 2^23 in
+        magnitude and the sum it joins stays below 2^44 < 2^63.  After the
+        pass the 3j + 2 low limbs lie in [0, 2^21) and the top limb, the
+        value floored by 2^(21(3j+2)), is at most 2^(20-j) <= 2^20 in
+        magnitude;
+      * an entry of E F^T sums 2^FLIP_BLOCK = 2^11 limb products, each at
+        most (2^21 - 1)^2 < 2^42, so it is below 2^53 and every partial
+        sum of the float64 matmul is an exact integer;
+      * the int64 sum of the blocks' matmuls, over at most
+        2^(PERMANENT_CAP - 1 - FLIP_BLOCK) = 2^8 blocks, stays below 2^61.
     """
     import numpy as np
 
     n = len(grid)
     g = np.array(grid, dtype=np.int64)
     m = min(n - 1, FLIP_BLOCK)
-    sums = g.sum(axis=1, keepdims=True)
-    sign = np.ones(1, dtype=np.int64)
+    width = 1 << m
+    sums = np.empty((n, width), dtype=np.int64)
+    sums[:, 0] = g.sum(axis=1)
+    sign = np.ones(width, dtype=np.int64)
     for c in range(1, m + 1):
-        sums = np.hstack((sums, sums - 2 * g[:, c:c + 1]))
-        sign = np.concatenate((sign, -sign))
-    steps = 2 * g[:, m + 1:].T
-    shift = np.zeros(n, dtype=np.int64)
-    total = 0
+        w = 1 << (c - 1)
+        np.subtract(sums[:, :w], 2 * g[:, c:c + 1], out=sums[:, w:2 * w])
+        np.negative(sign[:w], out=sign[w:2 * w])
+    steps = 2 * g[:, m + 1:].T[:, :, None]
+    h = (len(runs) + 1) // 2                  # runs per half
+    prods = np.ones((2, h, width), dtype=np.int64)
+    split = np.empty((3, 2, h, width), dtype=np.int64)
+    total = np.zeros((3 * h, 3 * h), dtype=np.int64)
     for k in range(1 << (n - 1 - m)):
         if k:
             b = (k & -k).bit_length() - 1
             if k >> (b + 1) & 1:
-                shift += steps[b]
+                sums += steps[b]
             else:
-                shift -= steps[b]
-        x = sums + shift[:, None]
-        acc = (x[runs[0]].prod(axis=0) * sign).astype(object)
-        for run in runs[1:]:
-            acc *= x[run].prod(axis=0).astype(object)
-        part = acc.sum()
-        total += -part if k & 1 else part
-    return total
+                sums -= steps[b]
+        for r, run in enumerate(runs):
+            np.multiply.reduce(sums[run], axis=0, out=prods[divmod(r, h)])
+        prods[0, 0] *= sign
+        np.bitwise_and(prods, _LIMB_MASK, out=split[0])
+        np.right_shift(prods, LIMB, out=split[1])
+        split[1] &= _LIMB_MASK
+        np.right_shift(prods, 2 * LIMB, out=split[2])
+        limbs = split[:, :, 0]                # limb rows x halves x width
+        for j in range(1, h):
+            size, run = len(limbs), split[:, :, j]
+            out = np.empty((size + 3, 2, width), dtype=np.int64)
+            np.multiply(limbs, run[0], out=out[:size])
+            out[size:] = 0
+            out[1:size + 1] += limbs * run[1]
+            out[2:size + 2] += limbs * run[2]
+            for i in range(size + 2):
+                out[i + 1] += out[i] >> LIMB
+            out[:-1] &= _LIMB_MASK
+            limbs = out
+        both = limbs.astype(np.float64)
+        block = (both[:, 0] @ both[:, 1].T).astype(np.int64)
+        if k & 1:
+            total -= block
+        else:
+            total += block
+    return sum(v << LIMB * (i + j)
+               for i, row in enumerate(total.tolist()) for j, v in enumerate(row))
 
 
 # ── the Marcus-Ree gap ────────────────────────────────────────────────────

@@ -11,6 +11,7 @@ threads.
 """
 
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -133,7 +134,10 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, image):
-        image = tuple(int(i) for i in image)
+        image = tuple(image)
+        if not all(hasattr(i, "__index__") and not isinstance(i, bool) for i in image):
+            raise DomainError(f"permutation entries must be integers, got {image}")
+        image = tuple(map(operator.index, image))
         if sorted(image) != list(range(len(image))):
             raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
         return super().__new__(cls, image)
@@ -291,6 +295,18 @@ def _check_ds(m):
         s = sum(row)
         if s != den:
             raise RowSumMismatch(i, Fraction(s, den))
+
+
+def _ds_on_grid(rows, grid, den):
+    """The DoublyStochastic with these rows (tuples of Fractions) whose
+    `scaled()` the caller already holds: grid[i][j] / den == rows[i][j],
+    den the lcm of the denominators.  The invariants are checked on it."""
+    m = object.__new__(DoublyStochastic)
+    object.__setattr__(m, "n", len(rows))
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "_scaled", (grid, den))
+    _check_ds(m)
+    return m
 
 
 def validate_ds(m):

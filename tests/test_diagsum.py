@@ -2,6 +2,7 @@
 permanent, and the gap report."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,8 @@ from dstoch import (
     validate_ds,
 )
 from dstoch import diagsum
-from dstoch.diagsum import BRUTE_CAP, INT64_BOUND, VECTOR_MIN_N, _int64_runs
+from dstoch.diagsum import (BRUTE_CAP, FLIP_BLOCK, INT64_BOUND, LIMB, PERMANENT_CAP,
+                            VECTOR_MIN_N, _glynn_int64, _glynn_loop, _int64_runs)
 
 S = canonical("S")
 T = canonical("T")
@@ -321,6 +323,109 @@ def test_permanent_takes_the_loop_past_the_int64_bound(monkeypatch):
     rows[5][7] = INT64_BOUND
     a = RatMatrix(rows)
     assert permanent(a) == _reference_ryser(a)
+
+
+def _sparse_small(rng, n):
+    """Signed rows with two entries of magnitude at most 9 and 3: row bounds
+    at most 12, and 12^17 < 2^62."""
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        row[rng.randint(0, n - 1)] += rng.randint(-9, 9)
+        row[rng.randint(0, n - 1)] += rng.randint(-3, 3)
+    return rows
+
+
+def _bench_mixture(rng, n, k):
+    """Integer grid of k weighted permutation matrices, weights 1..1000."""
+    rows = [[0] * n for _ in range(n)]
+    for _ in range(k):
+        perm = Permutation.random(n, rng)
+        weight = rng.randint(1, 1000)
+        for i in range(n):
+            rows[i][perm(i)] += weight
+    return rows
+
+
+def test_glynn_int64_matches_the_loop_past_one_block():
+    # n = 14..17 walk 4..32 blocks of 2^11 sign vectors; `_glynn_loop`
+    # sums the same terms in Python ints, without numpy
+    rng = SplitMix64(611)
+
+    def near(n):                           # row bounds just under 2^62
+        top = (INT64_BOUND - 1) // n
+        return [[(top - rng.randint(0, 999)) * (1 - 2 * rng.randint(0, 1))
+                 for _ in range(n)] for _ in range(n)]
+
+    zeroed = [[rng.randint(-999, 999) for _ in range(16)] for _ in range(16)]
+    zeroed[3] = [0] * 16
+    for row in zeroed:
+        row[11] = 0
+    mid = 2 ** 20 // 15                    # row bounds below 2^20: runs of 3 rows
+    cases = [
+        ("one run", _sparse_small(rng, 17), {1}),
+        ("odd run count", [[rng.randint(-mid, mid) for _ in range(15)]
+                           for _ in range(15)], {3, 5}),
+        ("one-row runs", near(14), {14}),
+        ("odd one-row runs", near(15), {15}),
+        ("zero row and column", zeroed, None),
+        ("bench mixture", _bench_mixture(rng, 16, 16), None),
+    ]
+    for name, grid, run_counts in cases:
+        runs = _int64_runs([sum(map(abs, row)) for row in grid])
+        assert run_counts is None or len(runs) in run_counts, (name, runs)
+        assert _glynn_int64(grid, runs) == _glynn_loop(grid), name
+    assert _glynn_loop(zeroed) == 0
+
+
+def test_glynn_limb_arithmetic_fits_its_types():
+    # Recompute in Python ints what `_glynn_int64` does to one sign vector:
+    # split run products of +-(2^62 - 1) into limbs and multiply each half
+    # of the runs out with carries, at every run count up to PERMANENT_CAP.
+    # Track the largest int64 column (with its carry) and limb; a matmul
+    # entry sums 2^FLIP_BLOCK limb products in float64, and the block sums
+    # add up in int64 over every block of the largest order.
+    mask = (1 << LIMB) - 1
+
+    def split(p):
+        return [p & mask, p >> LIMB & mask, p >> 2 * LIMB]
+
+    largest = {"column": 0, "limb": 0}
+
+    def times(limbs, run):
+        out, carry = [], 0
+        for k in range(len(limbs) + 2):
+            column = carry + sum(limbs[i] * run[k - i]
+                                 for i in range(max(0, k - 2), min(k + 1, len(limbs))))
+            largest["column"] = max(largest["column"], abs(column))
+            out.append(column & mask)
+            carry = column >> LIMB
+        return out + [carry]
+
+    def half(products):
+        limbs = split(products[0])
+        for p in products[1:]:
+            limbs = times(limbs, split(p))
+        value = sum(x << LIMB * i for i, x in enumerate(limbs))
+        assert value == math.prod(products)
+        assert all(0 <= x <= mask for x in limbs[:-1])
+        assert -2 ** (LIMB - 1) <= limbs[-1] <= 2 ** (LIMB - 1)
+        largest["limb"] = max(largest["limb"], *map(abs, limbs))
+        return limbs
+
+    big = INT64_BOUND - 1
+    entry = 0
+    for count in range(1, PERMANENT_CAP + 1):
+        h = (count + 1) // 2
+        for signs in ([1] * count, [-1] * count, [(-1) ** r for r in range(count)],
+                      [-(-1) ** r for r in range(count)]):
+            products = [s * big for s in signs] + [1] * (2 * h - count)
+            e, f = half(products[:h]), half(products[h:])
+            entry = max(entry, max(map(abs, e)) * max(map(abs, f)) << FLIP_BLOCK)
+    blocks = 1 << (PERMANENT_CAP - 1 - FLIP_BLOCK)
+    assert largest["column"] < 2 ** 44 < 2 ** 63
+    assert largest["limb"] < 2 ** LIMB
+    assert entry < 2 ** 53                 # exact in float64
+    assert blocks * entry < 2 ** 63        # the int64 sum over blocks
 
 
 def test_permanent_matches_naive_on_signed_matrices():

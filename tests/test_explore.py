@@ -322,6 +322,18 @@ def test_enumerate_zero_cell_is_the_filtered_census(census_60, zero_cell):
     assert report.total_candidates == census_60.total_candidates
 
 
+def test_enumerate_reports_carry_their_scaled_grid():
+    # each reported point's scaled() is its cells over d, both cut by their
+    # gcd; it must be what a fresh construction derives from the rows
+    cases = [(d, None) for d in (*range(1, 62), 122)]
+    cases += [(d, zero_cell) for d in (7, 60) for zero_cell in ZERO_CELLS[1:]]
+    for d, zero_cell in cases:
+        for m, _ in enumerate_grid(d, zero_cell=zero_cell).saturating:
+            fresh = DoublyStochastic(m.rows)
+            assert type(m) is DoublyStochastic and m.rows == fresh.rows
+            assert m.scaled() == fresh.scaled(), (d, zero_cell, m)
+
+
 def test_enumerate_ds_count_matches_macmahon():
     # MacMahon: the 3 x 3 nonnegative integer matrices with every row and
     # column summing to d number C(d+4,4) + C(d+3,4) + C(d+2,4)

@@ -231,9 +231,14 @@ def test_permutation_inverse_and_order():
 
 
 def test_permutation_validates_public_input_only():
-    for image in ([0, 0], [1, 2], [-1, 0]):
+    # non-integer entries are refused, not truncated or parsed
+    for image in ([0, 0], [1, 2], [-1, 0], [0.9, 1.2], [1.0, 0.0], ["1", "0"],
+                  [True, False], [F(1), 0]):
         with pytest.raises(DomainError):
             Permutation(image)
+    np = pytest.importorskip("numpy")
+    assert Permutation(np.array([1, 0])) == Permutation([np.int64(1), 0]) == (1, 0)
+    assert all(type(i) is int for i in Permutation(np.arange(3)))
     # the unchecked internal paths build what the checked constructor builds
     rng = SplitMix64(41)
     for n in range(1, 6):
