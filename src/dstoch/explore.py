@@ -17,8 +17,8 @@ Four harnesses:
     the cell by a row and a column swap.  total_candidates still reports
     the (d+1)^4 grid.  Vectorized with int32 numpy: the largest
     intermediate, the discriminant, is at most 208 d^2 in absolute value,
-    12.0 million at d = DENOMINATOR_CAP, far below 2^31.  Each grid value
-    x / d is built as a Fraction once per census.
+    12.0 million at d = DENOMINATOR_CAP, far below 2^31.  Each saturating
+    point is built from its integer cells over d, with no Fraction.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -54,7 +54,7 @@ import operator
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
-                     Permutation, SplitMix64, _ds_on_grid, block_j_form,
+                     Permutation, SplitMix64, block_j_form,
                      perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import CANONICAL_TAGS, canonical, classify3
@@ -267,14 +267,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
         r, c = [i, 1, 2], [j, 1, 2]
         r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
         grids = [[[g[a][b] for b in c] for a in r] for g in grids]
-    # row-major order of the rows is the order of (x11, x12, x21, x22); each
-    # point's scaled() is its cells over d, both divided by their gcd
-    value = [Fraction(x, d) for x in range(d + 1)]  # every entry lies in [0, d]
-    found = []
-    for g in sorted(grids):
-        c = math.gcd(d, *g[0], *g[1], *g[2])
-        found.append(_ds_on_grid(tuple(tuple(value[x] for x in row) for row in g),
-                                 [[x // c for x in row] for row in g], d // c))
+    # row-major order of the rows is the order of (x11, x12, x21, x22)
+    found = [DoublyStochastic.of_grid(g, d) for g in sorted(grids)]
     return EnumerationReport(d, (d + 1) ** 4, ds_count,
                              tuple((m, classify3(m)) for m in found))
 

@@ -1,10 +1,10 @@
 """Exact rational matrices, permutations, and doubly stochastic constructors.
 
-Entries are `fractions.Fraction`, so arithmetic and equality are exact.
-`RatMatrix.scaled` is the one crossing to integers: the numerators over
-the common denominator, on which the kernels run.  A matrix is doubly
-stochastic when every entry is >= 0 and every row and column sums to
-exactly 1; validation checks both on that integer grid, exactly.
+A matrix is stored as integer numerators over one common denominator in
+lowest terms, the (grid, den) pair on which every constructor, the parser
+and the kernels run; entries read out as `fractions.Fraction`.  A matrix
+is doubly stochastic when every entry is >= 0 and every row and column
+sums to exactly 1; validation checks both on that integer grid, exactly.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -15,7 +15,8 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 
@@ -63,12 +64,9 @@ class ParseError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def parse_rational(text):
-    """Parse "p/q" or an integer string into a Fraction.
-
-    Decimals are rejected: the file formats are exact, and "0.5" is
-    ambiguous about intent in an exact setting.
-    """
+def _parse_ratio(text):
+    """(p, q) of "p/q" or an integer string, q > 0 and not reduced.  Decimals
+    are rejected: the formats are exact, and "0.5" is ambiguous about intent."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not an exact rational: {text!r}")
@@ -79,7 +77,12 @@ def parse_rational(text):
         raise ParseError(f"rational too long: {len(text)} characters") from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text):
+    """Parse "p/q" or an integer string into a Fraction; decimals are rejected."""
+    return Fraction(*_parse_ratio(text))
 
 
 # ── deterministic randomness ──────────────────────────────────────────────
@@ -189,42 +192,76 @@ def all_permutations(n):
 
 # ── matrices ──────────────────────────────────────────────────────────────
 
+def _ratio(x):
+    """(numerator, denominator) of a Fraction or a non-bool integer entry."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise DomainError(f"matrix entries must be integers or Fractions, got {x!r}")
+    return operator.index(x), 1
+
+
+def _of_ratios(cls, ratios):
+    """The cls matrix of rows of (p, q) pairs, q > 0, over one lcm of the q."""
+    den = lcm(*(q for row in ratios for _, q in row))
+    return cls.of_grid([[p * (den // q) for p, q in row] for row in ratios], den)
+
+
 class RatMatrix:
     """Immutable dense square matrix of exact rationals.
 
-    Entries are addressed m[i, j] with 0-based indices.  Supports exact
-    equality, hashing, transpose, and matrix product via @.
+    Stored as (grid, den) in lowest terms, entry (i, j) = grid[i][j] / den:
+    den is the lcm of the reduced entry denominators, so equal matrices
+    hold equal pairs.  Built from rows of Fractions and non-bool integers;
+    entries read out as Fractions, m[i, j] with 0-based indices.
     """
 
-    __slots__ = ("n", "rows", "_scaled")
+    __slots__ = ("grid", "den")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-                     for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise DomainError("matrix must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_scaled", None)
+    def __new__(cls, rows):
+        return _of_ratios(cls, [[_ratio(x) for x in row] for row in rows])
+
+    @classmethod
+    def of_grid(cls, grid, den):
+        """The matrix with entries grid[i][j] / den, for integers and
+        den >= 1, divided down to lowest terms."""
+        grid = [list(map(operator.index, row)) for row in grid]
+        if den < 1 or any(len(row) != len(grid) for row in grid):
+            raise DomainError(f"matrix must be square, over a denominator >= 1 (got {den})")
+        c = gcd(den, *chain.from_iterable(grid))
+        if c > 1:
+            grid = [[x // c for x in row] for row in grid]
+        m = object.__new__(cls)
+        object.__setattr__(m, "grid", grid)
+        object.__setattr__(m, "den", den // c)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     def __reduce__(self):
-        # through the constructor: slot state cannot pass __setattr__, and a
-        # DoublyStochastic is re-validated on load
-        return type(self), (self.rows,)
+        # through of_grid, so that a DoublyStochastic is re-validated on load
+        return type(self).of_grid, (self.grid, self.den)
+
+    @property
+    def n(self):
+        return len(self.grid)
+
+    @property
+    def rows(self):
+        """The entries as row tuples of Fractions, built on each read."""
+        value = {x: Fraction(x, self.den) for x in set(chain.from_iterable(self.grid))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self.grid)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.grid[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        return isinstance(other, RatMatrix) and self.scaled() == other.scaled()
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, *map(tuple, self.grid)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -233,58 +270,49 @@ class RatMatrix:
     def __matmul__(self, other):
         if not isinstance(other, RatMatrix) or self.n != other.n:
             return NotImplemented
-        ga, da = self.scaled()
-        gb, db = other.scaled()
-        cols = list(zip(*gb))
-        return RatMatrix([[Fraction(sum(map(mul, row, col)), da * db)
-                           for col in cols] for row in ga])
+        cols = list(zip(*other.grid))
+        return RatMatrix.of_grid([[sum(map(mul, row, col)) for col in cols]
+                                  for row in self.grid], self.den * other.den)
 
     def transpose(self):
-        return RatMatrix(zip(*self.rows))
+        return RatMatrix.of_grid(zip(*self.grid), self.den)
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
+        return Fraction(sum(row[i] for i, row in enumerate(self.grid)), self.den)
 
     def entries(self):
         """Iterate entries in row-major order."""
-        for row in self.rows:
-            yield from row
+        return chain.from_iterable(self.rows)
 
     def scaled(self):
-        """(grid, den): grid[i][j] / den == self[i, j], den the lcm; computed
-        once per matrix and shared, so callers must not mutate the grid."""
-        if self._scaled is None:
-            den = lcm(*(x.denominator for x in self.entries()))
-            grid = [[x.numerator * (den // x.denominator) for x in row]
-                    for row in self.rows]
-            object.__setattr__(self, "_scaled", (grid, den))
-        return self._scaled
+        """(grid, den), the stored pair: grid[i][j] / den == self[i, j].
+        The grid lists are shared, so callers must not mutate them."""
+        return self.grid, self.den
 
     def to_floats(self):
         """Row-major nested lists of float entries (lossy, for plotting)."""
-        return [[float(x) for x in row] for row in self.rows]
+        return [[x / self.den for x in row] for row in self.grid]
 
 
 class DoublyStochastic(RatMatrix):
-    """A RatMatrix validated to be doubly stochastic (exactly).
+    """An immutable RatMatrix checked to be doubly stochastic, exactly, by
+    `of_grid`, which `validate_ds` and every constructor build through."""
 
-    Construct through `validate_ds` or the constructors below; the
-    invariant is checked on construction and can never be broken since
-    the value is immutable.
-    """
+    __slots__ = ()
 
-    def __init__(self, rows, _validated=False):
-        super().__init__(rows)
-        if not _validated:
-            _check_ds(self)
+    @classmethod
+    def of_grid(cls, grid, den):
+        m = super().of_grid(grid, den)
+        _check_ds(m)
+        return m
 
 
 def _check_ds(m):
     grid, den = m.scaled()
     for i, row in enumerate(grid):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise NegativeEntry(i, j, m.rows[i][j])
+        if min(row) < 0:
+            j = next(j for j, x in enumerate(row) if x < 0)
+            raise NegativeEntry(i, j, Fraction(row[j], den))
     # Column sums are checked before row sums; with both violated the
     # column report is the contract.
     for j, col in enumerate(zip(*grid)):
@@ -297,18 +325,6 @@ def _check_ds(m):
             raise RowSumMismatch(i, Fraction(s, den))
 
 
-def _ds_on_grid(rows, grid, den):
-    """The DoublyStochastic with these rows (tuples of Fractions) whose
-    `scaled()` the caller already holds: grid[i][j] / den == rows[i][j],
-    den the lcm of the denominators.  The invariants are checked on it."""
-    m = object.__new__(DoublyStochastic)
-    object.__setattr__(m, "n", len(rows))
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "_scaled", (grid, den))
-    _check_ds(m)
-    return m
-
-
 def validate_ds(m):
     """Check the doubly stochastic invariants exactly and wrap the matrix.
 
@@ -316,7 +332,7 @@ def validate_ds(m):
     """
     if isinstance(m, DoublyStochastic):
         return m
-    return DoublyStochastic(m.rows)
+    return DoublyStochastic.of_grid(m.grid, m.den)
 
 
 # ── canonical constructors ────────────────────────────────────────────────
@@ -325,36 +341,29 @@ def make_jn(n):
     """The order-n matrix with every entry 1/n."""
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
-    x = Fraction(1, n)
-    return DoublyStochastic([[x] * n] * n, _validated=True)
+    return DoublyStochastic.of_grid([[1] * n] * n, n)
 
 
 def make_tn(n):
     """(n*J_n - I_n) / (n-1): zero diagonal, 1/(n-1) off the diagonal."""
     if n < 2:
         raise DomainError(f"make_tn needs order >= 2, got {n}")
-    off = Fraction(1, n - 1)
-    rows = [[Fraction(0) if i == j else off for j in range(n)] for i in range(n)]
-    return DoublyStochastic(rows, _validated=True)
+    return DoublyStochastic.of_grid([[1] * i + [0] + [1] * (n - 1 - i) for i in range(n)], n - 1)
 
 
 def perm_matrix(p):
     """The 0/1 matrix with entry (i, p(i)) = 1."""
     n = len(p)
-    one, zero = Fraction(1), Fraction(0)
-    rows = [[one if j == p(i) else zero for j in range(n)] for i in range(n)]
-    return DoublyStochastic(rows, _validated=True)
+    return DoublyStochastic.of_grid([[int(j == p(i)) for j in range(n)] for i in range(n)], 1)
 
 
 def direct_sum(a, b):
     """Block-diagonal matrix [a 0; 0 b] of order a.n + b.n."""
     n, m = a.n, b.n
-    zero = Fraction(0)
-    rows = [list(row) + [zero] * m for row in a.rows]
-    rows += [[zero] * n + list(row) for row in b.rows]
-    if isinstance(a, DoublyStochastic) and isinstance(b, DoublyStochastic):
-        return DoublyStochastic(rows, _validated=True)
-    return RatMatrix(rows)
+    grid = [[x * b.den for x in row] + [0] * m for row in a.grid]
+    grid += [[0] * n + [x * a.den for x in row] for row in b.grid]
+    both = isinstance(a, DoublyStochastic) and isinstance(b, DoublyStochastic)
+    return (DoublyStochastic if both else RatMatrix).of_grid(grid, a.den * b.den)
 
 
 def block_j_form(p, parts, q):
@@ -371,20 +380,15 @@ def block_j_form(p, parts, q):
         raise DomainError(
             f"parts sum to {n} but |p| = {len(p)}, |q| = {len(q)}")
     # block[i][j] without building intermediates: block index by offsets
-    owner = []
-    for b, k in enumerate(parts):
-        owner.extend([b] * k)
-    vals = [Fraction(1, k) for k in parts]
+    owner = [b for b, k in enumerate(parts) for _ in range(k)]
+    den = lcm(*parts)
+    vals = [den // k for k in parts]
     qinv = q.inverse()
-    rows = []
+    grid = []
     for i in range(n):
-        pi = p(i)
-        row = []
-        for j in range(n):
-            qj = qinv(j)
-            row.append(vals[owner[pi]] if owner[pi] == owner[qj] else Fraction(0))
-        rows.append(row)
-    return DoublyStochastic(rows, _validated=True)
+        b = owner[p(i)]
+        grid.append([vals[b] if b == owner[qinv(j)] else 0 for j in range(n)])
+    return DoublyStochastic.of_grid(grid, den)
 
 
 def random_ds(n, k, seed):
@@ -405,15 +409,15 @@ def random_ds(n, k, seed):
         total += c
         for i in range(n):
             counts[i][perm(i)] += c
-    rows = [[Fraction(c, total) for c in row] for row in counts]
-    return DoublyStochastic(rows, _validated=True)
+    return DoublyStochastic.of_grid(counts, total)
 
 
 # ── serialization ─────────────────────────────────────────────────────────
 
 def matrix_payload(m):
     """The JSON object of a matrix, entries as exact fraction strings."""
-    return {"n": m.n, "rows": [[str(x) for x in row] for row in m.rows]}
+    text = {x: str(Fraction(x, m.den)) for x in set(chain.from_iterable(m.grid))}
+    return {"n": m.n, "rows": [[text[x] for x in row] for row in m.grid]}
 
 
 def write_matrix(m):
@@ -437,12 +441,12 @@ def parse_matrix(text):
 
 
 def _parse_row(cells, line):
-    """parse_rational over one row's cells; a bad cell is reported at its
+    """The (p, q) of each of one row's cells; a bad cell is reported at its
     1-based (line, column)."""
     parsed = []
     for j, cell in enumerate(cells, 1):
         try:
-            parsed.append(parse_rational(str(cell)))
+            parsed.append(_parse_ratio(str(cell)))
         except ParseError as exc:
             raise ParseError(str(exc), line, j) from None
     return parsed
@@ -470,7 +474,7 @@ def _parse_matrix_json(text):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"row {i} must hold {n} entries", i + 1, 1)
         out.append(_parse_row(row, i + 1))
-    return RatMatrix(out)
+    return _of_ratios(RatMatrix, out)
 
 
 def _parse_matrix_csv(text):
@@ -484,7 +488,7 @@ def _parse_matrix_csv(text):
         raise ParseError(
             f"need a square matrix, got {len(out)} lines of widths "
             f"{sorted({len(r) for r in out})}")
-    return RatMatrix(out)
+    return _of_ratios(RatMatrix, out)
 
 
 def read_matrix(source):

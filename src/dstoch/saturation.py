@@ -105,13 +105,13 @@ def permutation_equivalent(a, b):
     n = a.n
     if n > EQUIVALENCE_CAP:
         raise OrderTooLarge(n, EQUIVALENCE_CAP, "permutation equivalence scan")
-    if sorted(a.entries()) != sorted(b.entries()):
+    if sorted(a.entries()) != sorted(b.entries()):  # then a.den == b.den
         return None
     b_cols = {}
-    for j in range(n):
-        b_cols.setdefault(tuple(b.rows[i][j] for i in range(n)), []).append(j)
+    for j, col in enumerate(zip(*b.grid)):
+        b_cols.setdefault(col, []).append(j)
     for p_img in itertools.permutations(range(n)):
-        rows_p = [a.rows[k] for k in p_img]
+        rows_p = [a.grid[k] for k in p_img]
         # column c of (P a) must land at position q(c) in b
         pool = {col: list(positions) for col, positions in b_cols.items()}
         q_img = []
@@ -133,7 +133,8 @@ def classify2(a):
     """
     if a.n != 2:
         raise DomainError(f"classify2 needs order 2, got {a.n}")
-    return validate_ds(a).rows[0][0] in (0, _F(1, 2), 1)
+    grid, den = validate_ds(a).scaled()
+    return 2 * grid[0][0] in (0, den, 2 * den)
 
 
 def classify3(a):

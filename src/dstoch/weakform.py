@@ -325,10 +325,11 @@ def matrix_to_params(a):
     at entry (2,1): u = 2(a11 - a22), v = 2(a11 + a22) - 3, w = a12."""
     if a.n != 3:
         raise DomainError(f"need order 3, got {a.n}")
-    if a.rows[1][0] != 0:
-        raise ZeroCellMissing(a.rows[1][0])
-    a11, a22 = a.rows[0][0], a.rows[1][1]
-    return 2 * (a11 - a22), 2 * (a11 + a22) - 3, a.rows[0][1]
+    grid, den = a.scaled()
+    if grid[1][0] != 0:
+        raise ZeroCellMissing(a[1, 0])
+    u, v = 2 * (grid[0][0] - grid[1][1]), 2 * (grid[0][0] + grid[1][1]) - 3 * den
+    return Fraction(u, den), Fraction(v, den), Fraction(grid[0][1], den)
 
 
 def weak_residual(u, v, w):

@@ -9,8 +9,10 @@ import pytest
 
 import dstoch.ratmat
 from dstoch import (
+    CANONICAL_TAGS,
     ColSumMismatch,
     DomainError,
+    DoublyStochastic,
     NegativeEntry,
     ParseError,
     Permutation,
@@ -378,3 +380,84 @@ def test_unpickled_doubly_stochastic_is_revalidated(monkeypatch):
     monkeypatch.setattr(dstoch.ratmat, "_check_ds", checked.append)
     assert pickle.loads(data) == canonical("S")
     assert checked == [canonical("S")]
+
+
+# ── the integer grid ──────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf"), True, "1/2", None],
+                         ids=["float", "nan", "inf", "bool", "str", "none"])
+def test_ratmat_refuses_entries_that_are_not_exact_rationals(bad):
+    with pytest.raises(DomainError):
+        RatMatrix([[bad, 0], [0, 1]])
+
+
+def test_ratmat_stores_numpy_integers_as_python_ints():
+    np = pytest.importorskip("numpy")
+    m = RatMatrix(np.eye(2, dtype=np.int64))
+    assert m == RatMatrix([[1, 0], [F(0), F(2, 2)]]) == perm_matrix(Permutation.identity(2))
+    assert all(type(x) is int for row in m.grid for x in row)
+
+
+def _grid_cases():
+    """(name, matrix) built by every constructor, several of them on
+    purpose over a denominator that is not in lowest terms."""
+    from dstoch import matrix_to_params, params_to_matrix
+    rng = SplitMix64(21)
+    p, q = Permutation.random(6, rng), Permutation.random(6, rng)
+    yield "of_grid", RatMatrix.of_grid([[2, 6], [4, 0]], 12)
+    yield "of_grid-ds", DoublyStochastic.of_grid([[3, 3], [3, 3]], 6)
+    yield "parse", parse_matrix("2/4,2/4\n6/12,3/6\n")
+    yield "parse-json", parse_matrix('{"n":2,"rows":[["4/6","1/3"],["2/6","2/3"]]}')
+    yield "matmul-j3", make_jn(3) @ make_jn(3)
+    yield "matmul", random_ds(4, 3, seed=5) @ random_ds(4, 2, seed=6)
+    yield "transpose", random_ds(5, 4, seed=7).transpose()
+    yield "direct-sum", direct_sum(make_jn(2), make_jn(4))
+    yield "direct-sum-rat", direct_sum(RatMatrix([[F(1, 6)]]), make_jn(4))
+    yield "block-j", block_j_form(p, [2, 4], q)
+    yield "validate", validate_ds(RatMatrix(S_ROWS))
+    for seed in range(8):
+        yield f"random-{seed}", random_ds(1 + seed % 5, 1 + seed, seed=seed)
+    for n in (1, 2, 3, 6):
+        yield f"jn-{n}", make_jn(n)
+    for n in (2, 3, 6):
+        yield f"tn-{n}", make_tn(n)
+    yield "perm", perm_matrix(p)
+    for m, _ in enumerate_grid(12).saturating[::7]:
+        yield "census", m
+    yield "params", params_to_matrix(matrix_to_params(canonical("R")))
+    yield "pickle", pickle.loads(pickle.dumps(random_ds(4, 4, seed=8)))
+
+
+def test_every_constructor_stores_one_canonical_grid():
+    for name, m in _grid_cases():
+        fresh = RatMatrix(m.rows)
+        assert m == fresh and hash(m) == hash(fresh), name
+        assert m.scaled() == fresh.scaled() == (m.grid, m.den), name
+        assert m.den == lcm(*(x.denominator for x in m.entries())), name
+        assert all(F(g, m.den) == x for g_row, row in zip(m.grid, m.rows)
+                   for g, x in zip(g_row, row)), name
+    j3 = make_jn(3)
+    assert RatMatrix(j3.rows) == j3 == RatMatrix.of_grid([[5] * 3] * 3, 15)
+    assert hash(RatMatrix(j3.rows)) == hash(j3)
+    assert type(RatMatrix(j3.rows)) is RatMatrix and type(validate_ds(j3)) is type(j3)
+
+
+def test_of_grid_refuses_a_ragged_grid_or_a_denominator_below_one():
+    for grid, den in (([[1, 0]], 1), ([[1, 0], [0]], 1), ([[1]], 0), ([[1]], -1)):
+        with pytest.raises(DomainError):
+            RatMatrix.of_grid(grid, den)
+    with pytest.raises(ColSumMismatch):
+        DoublyStochastic.of_grid([[2, 0], [2, 0]], 2)
+
+
+def test_to_floats_matches_float_of_each_entry_bit_for_bit():
+    cases = [random_ds(n, k, seed=1000 * n + k) for n in range(3, 9) for k in (1, 3, n, 2 * n)]
+    cases += [canonical(tag) for tag in CANONICAL_TAGS]
+    for m in cases:
+        floats = [[x.hex() for x in row] for row in m.to_floats()]
+        assert floats == [[float(x).hex() for x in row] for row in m.rows], m
+
+
+def test_doubly_stochastic_carries_no_instance_dict():
+    assert not hasattr(make_jn(3), "__dict__")
+    assert not hasattr(RatMatrix([[1]]), "__dict__")
