@@ -34,7 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .ratmat import DomainError, OrderTooLarge, _perm
+from .ratmat import DomainError, OrderTooLarge, Permutation, _perm
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
@@ -60,7 +60,8 @@ def frobenius_sq(a):
 
 
 def diagonal_sum(a, p):
-    """sum_i a[i, p(i)] for a permutation p of matching order."""
+    """sum_i a[i, p(i)] for a permutation p (or its image) of matching order."""
+    p = p if isinstance(p, Permutation) else Permutation(p)
     if len(p) != a.n:
         raise DomainError(f"permutation order {len(p)} != matrix order {a.n}")
     grid, den = a.scaled()

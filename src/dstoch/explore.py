@@ -54,7 +54,7 @@ import operator
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
-                     Permutation, SplitMix64, block_j_form,
+                     Permutation, SplitMix64, _integer, block_j_form,
                      perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import CANONICAL_TAGS, canonical, classify3
@@ -230,25 +230,18 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     (x11, x12, x21) triples, and solves for the saturating points of each
     instead of visiting every x22.
     """
-    try:
-        d = operator.index(denominator)
-        if zero_cell is not None:
-            i, j = map(operator.index, zero_cell)
-            zero_cell = (i, j)
-        if threads is not None:
-            threads = operator.index(threads)
-    except (TypeError, ValueError):
-        raise DomainError(f"denominator, threads and zero_cell must be integers "
-                          f"(zero_cell a pair), got {denominator!r}, {threads!r} "
-                          f"and {zero_cell!r}") from None
-    if d < 1:
-        raise DomainError(f"denominator must be positive, got {d}")
+    d = _integer(denominator, "the denominator", 1)
     if d > DENOMINATOR_CAP:
         raise DenominatorTooLarge(d)
-    if zero_cell is not None and not (0 <= i < 3 and 0 <= j < 3):
-        raise DomainError(f"zero_cell out of range: {zero_cell}")
-    if threads is not None and threads < 1:
-        raise DomainError(f"threads must be at least 1, got {threads}")
+    if zero_cell is not None:
+        cell = tuple(zero_cell) if hasattr(zero_cell, "__iter__") else ()
+        if len(cell) != 2:
+            raise DomainError(f"zero_cell must be a pair of integers, got {zero_cell!r}")
+        i, j = (_integer(x, "a zero_cell index") for x in cell)
+        if not (0 <= i < 3 and 0 <= j < 3):
+            raise DomainError(f"zero_cell out of range: {(i, j)}")
+    if threads is not None:
+        _integer(threads, "threads", 1)
     # x11 slices per numpy pass.  A pass holds all its int64 arrays at once,
     # so to bound peak memory it is kept to about 8 * 61^2 triples (a slice
     # scans about (d + 1 - x11)^2 / 8): the whole d = 60 census is one pass,
@@ -305,9 +298,8 @@ def _random_block_spec(n, max_parts, rng):
 def search_products(n, max_parts, samples, seed):
     """Seeded sample of block-J product probes (Q: when does a product of
     two block-J forms saturate?).  Deterministic per seed."""
-    if n < 1 or max_parts < 1 or samples < 0:
-        raise DomainError(f"need n >= 1, max_parts >= 1 and samples >= 0, got "
-                          f"n={n}, max_parts={max_parts}, samples={samples}")
+    n, max_parts = _integer(n, "n", 1), _integer(max_parts, "max_parts", 1)
+    samples = _integer(samples, "samples", 0)
     if n > 12:
         raise OrderTooLarge(n, 12, "product search")
     rng = SplitMix64(seed)
@@ -515,9 +507,9 @@ def rationality_probe(n, samples, seed, tol=1e-9):
     is exactly 0, or reports a failed reconstruction.  Orders above
     PROBE_CAP are refused.
     """
-    if n < 1 or samples < 0 or not 0 < tol < math.inf:
-        raise DomainError(f"need n >= 1, samples >= 0 and a finite tol > 0, "
-                          f"got n={n}, samples={samples}, tol={tol}")
+    n, samples = _integer(n, "n", 1), _integer(samples, "samples", 0)
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if n > PROBE_CAP:
         raise OrderTooLarge(n, PROBE_CAP, "rationality probe")
     rng = SplitMix64(seed)

@@ -6,6 +6,10 @@ and the kernels run; entries read out as `fractions.Fraction`.  A matrix
 is doubly stochastic when every entry is >= 0 and every row and column
 sums to exactly 1; validation checks both on that integer grid, exactly.
 
+Every integer argument (an order, count, seed, block size or index, or a
+matrix entry that is not a Fraction) must pass `_integer`: a non-bool
+integer, numpy's included; anything else raises DomainError.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -59,6 +63,18 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+def _integer(x, what, least=None):
+    """operator.index(x) for a non-bool integer, numpy's included, of at
+    least `least`; anything else raises DomainError naming `what`."""
+    try:
+        if not isinstance(x, bool) and (least is None or operator.index(x) >= least):
+            return operator.index(x)
+    except TypeError:
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise DomainError(f"{what} must be one of the integers{bound}, got {x!r}")
+
+
 # ── rational scalars ──────────────────────────────────────────────────────
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -93,10 +109,10 @@ _MASK64 = (1 << 64) - 1
 class SplitMix64:
     """SplitMix64 generator: 64-bit state, identical stream on every
     platform and interpreter version.  Used for every seeded operation so
-    results are bit-reproducible."""
+    results are bit-reproducible.  The seed is any integer, taken mod 2**64."""
 
     def __init__(self, seed):
-        self._state = seed & _MASK64
+        self._state = _integer(seed, "a seed") & _MASK64
 
     def next64(self):
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -137,10 +153,7 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, image):
-        image = tuple(image)
-        if not all(hasattr(i, "__index__") and not isinstance(i, bool) for i in image):
-            raise DomainError(f"permutation entries must be integers, got {image}")
-        image = tuple(map(operator.index, image))
+        image = tuple(_integer(i, "a permutation entry") for i in image)
         if sorted(image) != list(range(len(image))):
             raise DomainError(f"not a permutation of 0..{len(image) - 1}: {image}")
         return super().__new__(cls, image)
@@ -196,9 +209,7 @@ def _ratio(x):
     """(numerator, denominator) of a Fraction or a non-bool integer entry."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise DomainError(f"matrix entries must be integers or Fractions, got {x!r}")
-    return operator.index(x), 1
+    return _integer(x, "a matrix entry that is not a Fraction"), 1
 
 
 def _of_ratios(cls, ratios):
@@ -339,15 +350,13 @@ def validate_ds(m):
 
 def make_jn(n):
     """The order-n matrix with every entry 1/n."""
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    n = _integer(n, "the order of J_n", 1)
     return DoublyStochastic.of_grid([[1] * n] * n, n)
 
 
 def make_tn(n):
     """(n*J_n - I_n) / (n-1): zero diagonal, 1/(n-1) off the diagonal."""
-    if n < 2:
-        raise DomainError(f"make_tn needs order >= 2, got {n}")
+    n = _integer(n, "the order of T_n", 2)
     return DoublyStochastic.of_grid([[1] * i + [0] + [1] * (n - 1 - i) for i in range(n)], n - 1)
 
 
@@ -370,11 +379,9 @@ def block_j_form(p, parts, q):
     """P (J_{parts[0]} ⊕ ... ⊕ J_{parts[-1]}) Q, exactly.
 
     P and Q act by (P M Q)[i, j] = M[p(i), q^{-1}(j)].  Parts must be
-    positive and sum to the common order of p and q.
+    positive integers and sum to the common order of p and q.
     """
-    parts = [int(k) for k in parts]
-    if any(k < 1 for k in parts):
-        raise DomainError(f"parts must be positive, got {parts}")
+    parts = [_integer(k, "a block size", 1) for k in parts]
     n = sum(parts)
     if len(p) != n or len(q) != n:
         raise DomainError(
@@ -398,8 +405,7 @@ def random_ds(n, k, seed):
     by their sum, so entries are exact rationals.  Identical output for a
     given (n, k, seed) on every platform and thread count.
     """
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _integer(n, "the order n", 1), _integer(k, "the count k", 1)
     rng = SplitMix64(seed)
     counts = [[0] * n for _ in range(n)]
     total = 0

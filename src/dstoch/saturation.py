@@ -96,16 +96,17 @@ def canonical(tag):
 def permutation_equivalent(a, b):
     """Find (P, Q) with (P a Q) == b exactly, or None.
 
-    Scans row permutations in lex order and matches columns by equality,
-    so the witness is deterministic.  Orders above EQUIVALENCE_CAP are
-    refused (the scan is factorial in n).
+    Compares the entry multisets on the grids (in lowest terms, equal
+    entries mean equal den), then scans row permutations in lex order and
+    matches columns by equality, so the witness is deterministic.  Orders
+    above EQUIVALENCE_CAP are refused (the scan is factorial in n).
     """
     if a.n != b.n:
         raise DomainError(f"order mismatch: {a.n} vs {b.n}")
     n = a.n
     if n > EQUIVALENCE_CAP:
         raise OrderTooLarge(n, EQUIVALENCE_CAP, "permutation equivalence scan")
-    if sorted(a.entries()) != sorted(b.entries()):  # then a.den == b.den
+    if a.den != b.den or sorted(itertools.chain(*a.grid)) != sorted(itertools.chain(*b.grid)):
         return None
     b_cols = {}
     for j, col in enumerate(zip(*b.grid)):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 
-from .ratmat import (DomainError, DoublyStochastic, RatMatrix,
+from .ratmat import (DomainError, DoublyStochastic, RatMatrix, _integer,
                      all_permutations)
 
 SIGN_MINUS = "minus"
@@ -141,7 +141,10 @@ class WeakFormParams(collections.namedtuple(
 
 
 def _q(x):
-    return x if isinstance(x, (Fraction, _Surd)) else Fraction(x)
+    """A Fraction or _Surd as is, an integer as a Fraction; nothing else."""
+    if isinstance(x, (Fraction, _Surd)):
+        return x
+    return Fraction(_integer(x, "a weak-form parameter that is not a Fraction"))
 
 
 def rational_sqrt(x):
@@ -155,11 +158,6 @@ def rational_sqrt(x):
     return None
 
 
-def discriminant(u, v):
-    u, v = _q(u), _q(v)
-    return 7 - 6 * u * u - 6 * v * v
-
-
 def solve_w(u, v, sign):
     """The root w = (1 - 2v -/+ sqrt(7-6u^2-6v^2)) / 8 for the given sign.
 
@@ -170,7 +168,7 @@ def solve_w(u, v, sign):
     if sign not in (SIGN_MINUS, SIGN_PLUS):
         raise DomainError(f"sign must be {SIGN_MINUS!r} or {SIGN_PLUS!r}")
     u, v = _q(u), _q(v)
-    disc = discriminant(u, v)
+    disc = 7 - 6 * u * u - 6 * v * v
     if disc < 0:
         raise NegativeDiscriminant(u, v, disc)
     s = -1 if sign == SIGN_MINUS else 1
@@ -193,7 +191,7 @@ def in_ellipse(k, u, v, strict_interior=False):
 
     strict_interior tests the open interior (boundary excluded).
     """
-    u, v = _q(u), _q(v)
+    k, u, v = _integer(k, "the ellipse index"), _q(u), _q(v)
     if k == 1:
         lhs = 25 * (u + _FIFTH) ** 2 + 15 * v * v
     elif k == 2:
@@ -209,7 +207,6 @@ def in_u_minus(u, v):
     """The minus-sign feasibility region, as an exact conjunction:
     in E0, not interior to E3, v <= 1/2, and pushed back inside E2 (resp.
     E1) when u >= 1/2 (resp. u <= -1/2)."""
-    u, v = _q(u), _q(v)
     return (in_disc_e0(u, v)
             and not in_ellipse(3, u, v, strict_interior=True)
             and v <= _HALF
@@ -221,7 +218,6 @@ def in_u_plus(u, v):
     """The plus-sign feasibility region: in E0, |u| <= 1/2, outside the
     interiors of E1 and E2, and inside E3 whenever v >= 1/2.  The isolated
     point (0, 1) satisfies all five conditions and needs no special case."""
-    u, v = _q(u), _q(v)
     return (in_disc_e0(u, v)
             and -_HALF <= u <= _HALF
             and not in_ellipse(1, u, v, strict_interior=True)

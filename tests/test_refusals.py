@@ -1,0 +1,230 @@
+"""Refusals: one integer rule for every public argument, and the error
+branches of each module with the exception type and message they carry."""
+
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+import dstoch.cli
+from dstoch import (
+    BlockSpec,
+    DomainError,
+    OrderTooLarge,
+    ParseError,
+    Permutation,
+    RatMatrix,
+    SplitMix64,
+    block_j_form,
+    block_product_probe,
+    boundary_curves,
+    classify2,
+    diagonal_sum,
+    enumerate_grid,
+    in_disc_e0,
+    in_ellipse,
+    in_u_minus,
+    in_u_plus,
+    make_jn,
+    make_tn,
+    max_diag_product,
+    params_to_matrix,
+    parse_matrix,
+    parse_rational,
+    perm_matrix,
+    permanent,
+    permutation_equivalent,
+    random_ds,
+    rationality_probe,
+    read_matrix,
+    reconstruct_matrix,
+    search_products,
+    sinkhorn,
+    solve_w,
+    weak_residual,
+    weak_saturation_check,
+)
+
+I3 = Permutation.identity(3)
+HALF = F(1, 2)
+
+
+# ── the integer rule ──────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("call, word", [
+    pytest.param(lambda: Permutation([1.0, 0]), "permutation entry", id="permutation"),
+    pytest.param(lambda: RatMatrix([[True, 0], [0, 1]]), "matrix entry", id="entry"),
+    pytest.param(lambda: make_jn(True), "J_n", id="make_jn-bool"),
+    pytest.param(lambda: make_jn(0), "J_n", id="make_jn-zero"),
+    pytest.param(lambda: make_tn(3.0), "T_n", id="make_tn-float"),
+    pytest.param(lambda: make_tn(1), "T_n", id="make_tn-one"),
+    pytest.param(lambda: block_j_form(I3, [2.7, 1], I3), "block size", id="parts-float"),
+    pytest.param(lambda: block_j_form(I3, ["2", "1"], I3), "block size", id="parts-str"),
+    pytest.param(lambda: block_j_form(I3, [True, 2], I3), "block size", id="parts-bool"),
+    pytest.param(lambda: block_j_form(I3, [0, 3], I3), "block size", id="parts-zero"),
+    pytest.param(lambda: random_ds(3.0, 2, 1), "order n", id="random_ds-n"),
+    pytest.param(lambda: random_ds(3, 0, 1), "count k", id="random_ds-k"),
+    pytest.param(lambda: random_ds(3, 2, 1.5), "seed", id="random_ds-seed"),
+    pytest.param(lambda: SplitMix64(1.5), "seed", id="splitmix-seed"),
+    pytest.param(lambda: enumerate_grid(True), "denominator", id="census-bool"),
+    pytest.param(lambda: enumerate_grid(0), "denominator", id="census-zero"),
+    pytest.param(lambda: enumerate_grid(4, zero_cell=(True, 0)), "zero_cell",
+                 id="census-cell-bool"),
+    pytest.param(lambda: enumerate_grid(4, threads=True), "threads", id="census-threads"),
+    pytest.param(lambda: search_products(0, 2, 1, 0), "n", id="products-n"),
+    pytest.param(lambda: search_products(3, 2.0, 1, 0), "max_parts", id="products-parts"),
+    pytest.param(lambda: search_products(3, 2, -1, 0), "samples", id="products-samples"),
+    pytest.param(lambda: search_products(3, 2, 1, 0.5), "seed", id="products-seed"),
+    pytest.param(lambda: rationality_probe(True, 1, 0), "n", id="probe-n"),
+    pytest.param(lambda: rationality_probe(3, -1, 0), "samples", id="probe-samples"),
+    pytest.param(lambda: rationality_probe(3, 1, "7"), "seed", id="probe-seed"),
+    pytest.param(lambda: in_ellipse(1.0, 0, 0), "ellipse index", id="ellipse-index"),
+])
+def test_every_integer_argument_is_refused_by_one_rule(call, word):
+    with pytest.raises(DomainError, match="must be one of the integers") as exc:
+        call()
+    assert word in str(exc.value)
+
+
+WEAK_FORM_CALLS = {
+    "solve_w": lambda x: solve_w(x, 0, "minus"),
+    "in_disc_e0": lambda x: in_disc_e0(0, x),
+    "in_ellipse": lambda x: in_ellipse(3, x, 0),
+    "in_u_minus": lambda x: in_u_minus(x, 0),
+    "in_u_plus": lambda x: in_u_plus(0, x),
+    "weak_residual": lambda x: weak_residual(0, 0, x),
+    "params_to_matrix": lambda x: params_to_matrix((0, x, 0)),
+}
+
+
+@pytest.mark.parametrize("name", WEAK_FORM_CALLS)
+@pytest.mark.parametrize("bad", [0.1, "1/2", True, math.nan],
+                         ids=["float", "str", "bool", "nan"])
+def test_weak_form_takes_only_exact_numbers(name, bad):
+    with pytest.raises(DomainError, match="weak-form parameter"):
+        WEAK_FORM_CALLS[name](bad)
+
+
+def test_numpy_integers_and_fractions_are_still_accepted():
+    i64 = np.int64
+    assert make_jn(i64(3)) == make_jn(3) and make_tn(np.int8(4)) == make_tn(4)
+    assert (block_j_form(I3, [i64(2), np.int32(1)], I3)
+            == block_j_form(I3, (2, 1), I3))
+    assert random_ds(i64(4), np.int16(3), np.uint64(9)) == random_ds(4, 3, 9)
+    assert SplitMix64(i64(-1)).next64() == SplitMix64(2 ** 64 - 1).next64()
+    assert Permutation([i64(1), 0]) == (1, 0)
+    assert RatMatrix([[HALF, i64(0)], [0, HALF]]).grid == [[1, 0], [0, 1]]
+    assert (search_products(i64(3), i64(2), i64(2), i64(5))
+            == search_products(3, 2, 2, 5))
+    for name, call in WEAK_FORM_CALLS.items():
+        assert call(i64(0)) == call(0) == call(F(0)), name
+    assert solve_w(HALF, i64(0), "plus") == solve_w(HALF, F(0), "plus")
+    assert in_ellipse(i64(2), HALF, 0) == in_ellipse(2, HALF, 0)
+
+
+# ── branches the other tests do not reach ─────────────────────────────────
+
+def _spec(parts):
+    n = sum(parts)
+    return BlockSpec(Permutation.identity(n), parts, Permutation.identity(n))
+
+
+@pytest.mark.parametrize("call, error, word", [
+    # diagsum
+    pytest.param(lambda: diagonal_sum(make_jn(3), (0, 1)), DomainError, "order",
+                 id="diagonal_sum-order"),
+    pytest.param(lambda: diagonal_sum(make_jn(3), (0, 0, 1)), DomainError, "permutation",
+                 id="diagonal_sum-not-a-permutation"),
+    pytest.param(lambda: diagonal_sum(make_jn(2), (0, 1.0)), DomainError, "integers",
+                 id="diagonal_sum-float"),
+    pytest.param(lambda: max_diag_product(make_jn(11)), OrderTooLarge, "product",
+                 id="max_diag_product-cap"),
+    pytest.param(lambda: permanent(make_jn(21)), OrderTooLarge, "permanent",
+                 id="permanent-cap"),
+    # explore
+    pytest.param(lambda: block_product_probe(_spec((1, 1)), _spec((3,))), DomainError,
+                 "mismatch", id="block_product_probe-order"),
+    pytest.param(lambda: search_products(13, 2, 1, 0), OrderTooLarge, "product",
+                 id="search_products-cap"),
+    pytest.param(lambda: sinkhorn([[1.0, 2.0]]), DomainError, "square",
+                 id="sinkhorn-not-square"),
+    # ratmat
+    pytest.param(lambda: parse_rational("1/0"), ParseError, "zero", id="parse-zero-den"),
+    pytest.param(lambda: Permutation([1, 0]).compose(I3), DomainError, "size",
+                 id="compose-size"),
+    pytest.param(lambda: make_jn(2) @ 3, TypeError, "unsupported", id="matmul-int"),
+    pytest.param(lambda: parse_matrix('{"n": 2}'), ParseError, "rows", id="json-no-rows"),
+    pytest.param(lambda: parse_matrix('{"n": 2, "rows": [["1"]]}'), ParseError, "hold",
+                 id="json-row-count"),
+    pytest.param(lambda: read_matrix(io.StringIO("1,x\n0,1\n")), ParseError, "rational",
+                 id="read-stream"),
+    # saturation
+    pytest.param(lambda: permutation_equivalent(make_jn(2), make_jn(3)), DomainError,
+                 "mismatch", id="equivalent-order"),
+    pytest.param(lambda: permutation_equivalent(make_jn(9), make_jn(9)), OrderTooLarge,
+                 "equivalence", id="equivalent-cap"),
+    pytest.param(lambda: classify2(make_jn(3)), DomainError, "order", id="classify2-order"),
+    # weakform
+    pytest.param(lambda: solve_w(0, 0, "+"), DomainError, "sign", id="solve_w-sign"),
+    pytest.param(lambda: in_ellipse(4, 0, 0), DomainError, "1, 2, or 3", id="ellipse-index-4"),
+    pytest.param(lambda: boundary_curves(0.0, 1.0, 0.0), DomainError, "positive",
+                 id="boundary-step-zero"),
+    pytest.param(lambda: boundary_curves(0.0, 1.0, -0.1), DomainError, "positive",
+                 id="boundary-step-negative"),
+    pytest.param(lambda: weak_saturation_check([[F(1)]]), DomainError, "order",
+                 id="weak_saturation-order"),
+])
+def test_refusal_branches(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
+
+
+def test_reconstruct_matrix_returns_none_on_a_non_finite_or_unsnappable_entry():
+    assert reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]]) == make_jn(2)
+    for bad in (math.nan, math.inf):
+        assert reconstruct_matrix([[0.5, 0.5], [0.5, bad]]) is None
+    # no convergent of pi / 10 with denominator <= 10^6 is within 1e-15
+    x = math.pi / 10
+    assert reconstruct_matrix([[x, 1 - x], [1 - x, x]], tol=1e-15) is None
+
+
+def test_read_matrix_reads_an_open_stream():
+    assert read_matrix(io.StringIO("0,1\n1,0\n")) == perm_matrix(Permutation([1, 0]))
+
+
+def test_diagonal_sum_takes_a_plain_image():
+    a = RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for p in (Permutation([2, 0, 1]), (2, 0, 1), [2, 0, 1], np.array([2, 0, 1])):
+        assert diagonal_sum(a, p) == 3 + 4 + 8
+
+
+def test_permutation_equivalent_finds_no_witness_for_equal_multisets():
+    # a and its transpose hold the same entries, but every P a Q has two
+    # equal rows and the transpose has none
+    a = RatMatrix([[F(x, 6) for x in row] for row in [[0, 2, 4], [3, 2, 1], [3, 2, 1]]])
+    assert sorted(a.entries()) == sorted(a.transpose().entries())
+    assert permutation_equivalent(a, a.transpose()) is None
+    assert permutation_equivalent(a.transpose(), a) is None
+    assert permutation_equivalent(a, a) is not None
+
+
+# ── the CLI's refusal lines ───────────────────────────────────────────────
+
+@pytest.mark.parametrize("argv, line", [
+    (["products", "--n", "0", "--samples", "1", "--seed", "0"],
+     "ds: n must be one of the integers >= 1, got 0"),
+    (["probe", "--n", "3", "--samples", "-1", "--seed", "0"],
+     "ds: samples must be one of the integers >= 0, got -1"),
+    (["canonical", "--name", "Jn:0"],
+     "ds: the order of J_n must be one of the integers >= 1, got 0"),
+    (["canonical", "--name", "Tn:1"],
+     "ds: the order of T_n must be one of the integers >= 2, got 1"),
+])
+def test_cli_reports_the_rule_on_one_line(argv, line):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert dstoch.cli.main(argv) == 1
+    assert out.getvalue() == "" and err.getvalue() == line + "\n"
