@@ -44,7 +44,7 @@ for p in probes:
         break
 
 print("\nRationality probe (n = 3, 60 samples)")
-report = rationality_probe(3, 60, seed=20260808, tol=1e-9)
+report = rationality_probe(3, 60, seed=20260808)
 print(f"  near-saturating candidates: {len(report.candidates)}")
 for c in report.candidates[:6]:
     form = classify3(c.reconstructed).form if c.verified else "-"

@@ -13,7 +13,8 @@ import math
 import sys
 
 from .ratmat import (DomainError, OrderTooLarge, ParseError, make_jn, make_tn,
-                     matrix_payload, parse_rational, read_matrix, validate_ds)
+                     matrix_payload, parse_integer, parse_rational, read_matrix,
+                     validate_ds)
 
 CANONICAL_CAP = 512  # largest order of `canonical --name Tn:<n>` / `Jn:<n>`
 
@@ -129,15 +130,11 @@ def cmd_construct(args):
 
 def cmd_enumerate(args):
     from . import explore
-    zero_cell = None
-    if args.zero_cell:
-        try:
-            i, j = args.zero_cell.split(",")
-            zero_cell = (int(i), int(j))
-        except ValueError:
-            raise ParseError("--zero-cell expects two integers I,J, "
-                             f"got {args.zero_cell!r}") from None
-    report = explore.enumerate_grid(args.denominator, zero_cell=zero_cell)
+    cell = args.zero_cell.split(",") if args.zero_cell else None
+    if cell is not None and len(cell) != 2:
+        raise ParseError(f"--zero-cell expects two integers I,J, got {args.zero_cell!r}")
+    report = explore.enumerate_grid(args.denominator,
+                                    zero_cell=cell and tuple(map(parse_integer, cell)))
     found = []
     for m, c in report.saturating:
         found.append({"matrix": matrix_payload(m), "form": c.form,
@@ -171,8 +168,7 @@ def cmd_products(args):
 
 def cmd_probe(args):
     from . import explore
-    report = explore.rationality_probe(args.n, args.samples, args.seed,
-                                       tol=args.tol)
+    report = explore.rationality_probe(args.n, args.samples, args.seed)
     out = []
     for c in report.candidates:
         out.append({"index": c.index, "kind": c.kind, "gap_float": c.gap_float,
@@ -186,11 +182,7 @@ def cmd_probe(args):
 def cmd_canonical(args):
     name = args.name
     if name[:3] in ("Tn:", "Jn:"):
-        try:
-            n = int(name[3:])
-        except ValueError:
-            raise ParseError(f"{name[:3]} needs an integer order, "
-                             f"got {name[3:]!r}") from None
+        n = parse_integer(name[3:])
         if n > CANONICAL_CAP:
             raise OrderTooLarge(n, CANONICAL_CAP, f"canonical {name[:2]}")
         m = make_tn(n) if name[0] == "T" else make_jn(n)
@@ -245,19 +237,18 @@ def _build_parser():
     p.add_argument("--v", required=True)
     p.add_argument("--sign", choices=["minus", "plus"], required=True)
     p = add("enumerate", cmd_enumerate, "exact census of the 1/d grid")
-    p.add_argument("--denominator", type=int, required=True)
+    p.add_argument("--denominator", type=parse_integer, required=True)
     p.add_argument("--zero-cell", default=None, metavar="I,J")
     p = add("products", cmd_products, "seeded block-J product probes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-parts", type=int, default=4)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--samples", type=parse_integer, required=True)
+    p.add_argument("--seed", type=parse_integer, required=True)
+    p.add_argument("--max-parts", type=parse_integer, default=4)
     p = add("probe", cmd_probe, "float sampling with exact rational "
                                 "reconstruction of near-saturating finds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--samples", type=parse_integer, required=True)
+    p.add_argument("--seed", type=parse_integer, required=True)
     p = add("canonical", cmd_canonical, "emit a canonical matrix "
                                         "(I3|J3|I1J2|S|T|R|Tn:<n>|Jn:<n>)")
     p.add_argument("--name", required=True)

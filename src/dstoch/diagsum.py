@@ -6,7 +6,7 @@ in exact rational arithmetic:
 
   * the Frobenius norm squared, sum of all squared entries;
   * diagonal sums and the maximal trace max_tr(A) = max_s sum_i A[i,s(i)],
-    by an assignment solver on the integer grid of `RatMatrix.scaled`
+    by an assignment solver on a matrix's integer grid (`RatMatrix.grid`)
     (factorial brute force is kept as its independent oracle);
   * the maximal diagonal product;
   * the permanent, by Glynn's formula over the 2^(n-1) sign vectors with
@@ -30,8 +30,10 @@ Reported argmax permutations are the lexicographically smallest optimum
 """
 
 import collections
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .ratmat import DomainError, OrderTooLarge, Permutation, _perm
@@ -54,9 +56,7 @@ class GapReport(collections.namedtuple("GapReport", "frob_sq max_trace gap satur
 
 def frobenius_sq(a):
     """Sum of squared entries, exactly."""
-    grid, den = a.scaled()
-    total = sum(x * x for row in grid for x in row)
-    return Fraction(total, den * den)
+    return Fraction(sum(x * x for row in a.grid for x in row), a.den * a.den)
 
 
 def diagonal_sum(a, p):
@@ -64,8 +64,7 @@ def diagonal_sum(a, p):
     p = p if isinstance(p, Permutation) else Permutation(p)
     if len(p) != a.n:
         raise DomainError(f"permutation order {len(p)} != matrix order {a.n}")
-    grid, den = a.scaled()
-    return Fraction(sum(grid[i][p(i)] for i in range(a.n)), den)
+    return Fraction(sum(a.grid[i][p(i)] for i in range(a.n)), a.den)
 
 
 def max_trace_brute(a):
@@ -77,7 +76,7 @@ def max_trace_brute(a):
     n = a.n
     if n > BRUTE_CAP:
         raise OrderTooLarge(n, BRUTE_CAP, "brute-force maximal trace")
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     best = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
@@ -94,7 +93,7 @@ def max_diag_product(a):
     n = a.n
     if n > BRUTE_CAP:
         raise OrderTooLarge(n, BRUTE_CAP, "brute-force maximal diagonal product")
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     best = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
@@ -112,7 +111,7 @@ def max_diag_product(a):
 #
 # Shortest-augmenting-path Hungarian method with potentials, maximizing.  It
 # is generic over the entry type: exact matrices reach it as Python ints (the
-# numerators over the common denominator that `RatMatrix.scaled` returns) and
+# numerators `RatMatrix.grid` over the common denominator `RatMatrix.den`) and
 # the float tier as floats.  Only +, -, and < are used, never division, so
 # integer inputs stay exact; math.inf is the open bound, since ints and floats
 # both compare with it.
@@ -208,14 +207,14 @@ def max_trace_assignment(a):
     """Maximal trace via the exact assignment solver.
 
     Same contract as max_trace_brute (value and lex-smallest argmax), but
-    polynomial: one `_assignment_max` solve on the integer grid of
-    `a.scaled()` gives potentials with grid[i][j] <= u[i] + v[j], every
+    polynomial: one `_assignment_max` solve on the integer grid
+    `a.grid` gives potentials with grid[i][j] <= u[i] + v[j], every
     optimal permutation lives on the tight edges where equality holds, and
     the lex smallest one is found on that subgraph by `_lex_min_matching`,
     starting from the solver's own assignment, which is tight.
     """
     n = a.n
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     assign, u, v = _assignment_max(grid)
     tight = [[j for j in range(n) if grid[i][j] == u[i] + v[j]] for i in range(n)]
     image = _lex_min_matching(tight, assign)
@@ -227,7 +226,8 @@ def max_trace_value(rows):
     """Maximum diagonal sum of a plain list-of-lists matrix (any ordered
     number type, e.g. floats); used for float-tier screening."""
     assign, _, _ = _assignment_max(rows)
-    return sum(rows[i][assign[i]] for i in range(len(rows)))
+    # left to right: the builtin sum compensates float sums from Python 3.12 on
+    return functools.reduce(operator.add, (rows[i][assign[i]] for i in range(len(rows))))
 
 
 # ── permanent ─────────────────────────────────────────────────────────────
@@ -240,7 +240,7 @@ _LIMB_MASK = (1 << LIMB) - 1
 
 
 def permanent(a):
-    """Exact permanent by Glynn's formula on the integer grid of `a.scaled()`,
+    """Exact permanent by Glynn's formula on the integer grid `a.grid`,
 
         perm(A) = 2^-(n-1) sum_d (prod_k d_k) prod_i sum_j d_j a_ij,
 
@@ -266,7 +266,7 @@ def permanent(a):
         raise OrderTooLarge(n, PERMANENT_CAP, "permanent")
     if n == 0:
         return Fraction(1)
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     bounds = [sum(map(abs, row)) for row in grid]
     if n >= VECTOR_MIN_N and max(bounds) < INT64_BOUND:
         total = _glynn_int64(grid, _int64_runs(bounds))

@@ -62,6 +62,7 @@ from .saturation import CANONICAL_TAGS, canonical, classify3
 DENOMINATOR_CAP = 240
 ASYMMETRY_CAP = 8
 PROBE_CAP = 64  # largest order rationality_probe accepts
+PROBE_TOL = 1e-9  # float gap under which a probe sample becomes a candidate
 
 
 class DenominatorTooLarge(DomainError):
@@ -95,14 +96,15 @@ class ProductProbe(collections.namedtuple(
 
 class ProbeCandidate(collections.namedtuple(
         "ProbeCandidate", "index kind gap_float reconstructed verified")):
-    """A float sample under tol: kind is "sinkhorn", "mixture" or "jitter";
-    reconstructed is a DoublyStochastic or None; verified means it is
-    exactly DS with gap exactly 0."""
+    """A float sample with gap under PROBE_TOL: kind is "sinkhorn",
+    "mixture" or "jitter"; reconstructed is a DoublyStochastic or None;
+    verified means it is exactly DS with gap exactly 0."""
     __slots__ = ()
 
 
 class ProbeReport(collections.namedtuple("ProbeReport", "n samples seed tol candidates")):
-    """A rationality probe run; candidates is a tuple of ProbeCandidates."""
+    """A rationality probe run; tol echoes PROBE_TOL and candidates is a
+    tuple of ProbeCandidates."""
     __slots__ = ()
 
 
@@ -476,7 +478,8 @@ def _probe_sample(n, kind, rng):
     if kind == "mixture":
         k = rng.randint(1, 4)
         weights = [0.05 + rng.random() for _ in range(k)]
-        total = sum(weights)
+        # left to right: the builtin sum compensates from Python 3.12 on
+        total = functools.reduce(operator.add, weights)
         x = [[0.0] * n for _ in range(n)]
         for wgt in weights:
             p = Permutation.random(n, rng)
@@ -496,20 +499,18 @@ def _probe_sample(n, kind, rng):
                      for row, noise_row in zip(base.to_floats(), noise)])
 
 
-def rationality_probe(n, samples, seed, tol=1e-9):
+def rationality_probe(n, samples, seed):
     """Hunt for float matrices with near-zero gap and try to certify them
     as exact rational solutions.
 
     Every sample gets a float gap (Frobenius norm squared vs maximal
     trace, the latter via the assignment solver on floats).  Samples under
-    tol (finite and positive) become candidates: reconstruct_matrix turns
-    each into an exactly doubly stochastic matrix, verified when its gap
-    is exactly 0, or reports a failed reconstruction.  Orders above
-    PROBE_CAP are refused.
+    PROBE_TOL = 1e-9 become candidates: reconstruct_matrix turns each into
+    an exactly doubly stochastic matrix, verified when its gap is exactly
+    0, or reports a failed reconstruction.  Orders above PROBE_CAP are
+    refused.
     """
     n, samples = _integer(n, "n", 1), _integer(samples, "samples", 0)
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
     if n > PROBE_CAP:
         raise OrderTooLarge(n, PROBE_CAP, "rationality probe")
     rng = SplitMix64(seed)
@@ -519,12 +520,12 @@ def rationality_probe(n, samples, seed, tol=1e-9):
         kind = kinds[rng.below(3)]
         x = _probe_sample(n, kind, rng)
         gap = max_trace_value(x) - _frob_sq(x)
-        if gap >= tol:
+        if gap >= PROBE_TOL:
             continue
         exact = reconstruct_matrix(x)
         verified = exact is not None and marcus_ree_gap(exact).saturated
         candidates.append(ProbeCandidate(index, kind, float(gap), exact, verified))
-    return ProbeReport(n, samples, seed, tol, tuple(candidates))
+    return ProbeReport(n, samples, seed, PROBE_TOL, tuple(candidates))
 
 
 # ── symmetry under permutation equivalence ────────────────────────────────
@@ -541,7 +542,7 @@ def check_asymmetry(a):
     n = a.n
     if n > ASYMMETRY_CAP:
         raise OrderTooLarge(n, ASYMMETRY_CAP, "symmetry scan")
-    rows = a.scaled()[0]
+    rows = a.grid
     pairs = list(itertools.combinations(range(n), 2))
     for c in itertools.permutations(range(n)):
         # entry (i, j) of a R is rows[i][c[j]]

@@ -8,7 +8,9 @@ sums to exactly 1; validation checks both on that integer grid, exactly.
 
 Every integer argument (an order, count, seed, block size or index, or a
 matrix entry that is not a Fraction) must pass `_integer`: a non-bool
-integer, numpy's included; anything else raises DomainError.
+integer, numpy's included; anything else raises DomainError.  Every exact
+number read from text, a matrix entry or a `ds` argument, follows one
+grammar (`_parse_ratio`); anything else raises ParseError.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -77,20 +79,24 @@ def _integer(x, what, least=None):
 
 # ── rational scalars ──────────────────────────────────────────────────────
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# the one grammar of every exact number `ds` reads: an optional sign, ASCII
+# digits (`\d` would take any Unicode digit) and an optional "/q"
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_ratio(text):
-    """(p, q) of "p/q" or an integer string, q > 0 and not reduced.  Decimals
+def _parse_ratio(text, integer=False):
+    """(p, q) of "p/q" or an integer string, q > 0 and not reduced, with
+    surrounding blanks stripped; with integer, "/q" is refused too.  Decimals
     are rejected: the formats are exact, and "0.5" is ambiguous about intent."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ParseError(f"not an exact rational: {text!r}")
+    what, text = "integer" if integer else "rational", text.strip()
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match or integer and match[1]:
+        raise ParseError(f"not an exact {what}: {text!r}")
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
     except ValueError:  # more digits than the interpreter converts
-        raise ParseError(f"rational too long: {len(text)} characters") from None
+        raise ParseError(f"{what} too long: {len(text)} characters") from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
     return num, den
@@ -99,6 +105,11 @@ def _parse_ratio(text):
 def parse_rational(text):
     """Parse "p/q" or an integer string into a Fraction; decimals are rejected."""
     return Fraction(*_parse_ratio(text))
+
+
+def parse_integer(text):
+    """Parse an integer string by the rule of parse_rational, without "/q"."""
+    return _parse_ratio(text, integer=True)[0]
 
 
 # ── deterministic randomness ──────────────────────────────────────────────
@@ -223,7 +234,8 @@ class RatMatrix:
 
     Stored as (grid, den) in lowest terms, entry (i, j) = grid[i][j] / den:
     den is the lcm of the reduced entry denominators, so equal matrices
-    hold equal pairs.  Built from rows of Fractions and non-bool integers;
+    hold equal pairs.  The kernels read the grid lists in place, so nothing
+    may mutate them.  Built from rows of Fractions and non-bool integers;
     entries read out as Fractions, m[i, j] with 0-based indices.
     """
 
@@ -269,7 +281,7 @@ class RatMatrix:
         return Fraction(self.grid[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.scaled() == other.scaled()
+        return isinstance(other, RatMatrix) and (self.den, self.grid) == (other.den, other.grid)
 
     def __hash__(self):
         return hash((self.den, *map(tuple, self.grid)))
@@ -295,11 +307,6 @@ class RatMatrix:
         """Iterate entries in row-major order."""
         return chain.from_iterable(self.rows)
 
-    def scaled(self):
-        """(grid, den), the stored pair: grid[i][j] / den == self[i, j].
-        The grid lists are shared, so callers must not mutate them."""
-        return self.grid, self.den
-
     def to_floats(self):
         """Row-major nested lists of float entries (lossy, for plotting)."""
         return [[x / self.den for x in row] for row in self.grid]
@@ -319,7 +326,7 @@ class DoublyStochastic(RatMatrix):
 
 
 def _check_ds(m):
-    grid, den = m.scaled()
+    grid, den = m.grid, m.den
     for i, row in enumerate(grid):
         if min(row) < 0:
             j = next(j for j, x in enumerate(row) if x < 0)

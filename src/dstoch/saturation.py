@@ -14,11 +14,12 @@ of six canonical representatives:
   R        [[3/5,0,2/5],[0,3/5,2/5],[2/5,2/5,1/5]]
 
 Their orbits hold 49 matrices, tabulated at import by integer grid
-(`RatMatrix.scaled`) with each member's tag and lex-smallest witness
-(P, Q), P a Q equal to the representative: the classifier decides by one
-lookup, cross-checked in the tests by `permutation_equivalent`, the gap
-(`diagsum`) and the weak form (`weakform`).  Non-saturating matrices get
-the lex-smallest maximal diagonal from the assignment solver.
+(`RatMatrix.grid` over `RatMatrix.den`) with each member's tag and
+lex-smallest witness (P, Q), P a Q equal to the representative: the
+classifier decides by one lookup, cross-checked in the tests by
+`permutation_equivalent`, the gap (`diagsum`) and the weak form
+(`weakform`).  Non-saturating matrices get the lex-smallest maximal
+diagonal from the assignment solver.
 """
 
 import collections
@@ -73,7 +74,7 @@ def _orbit_table():
     perms = list(all_permutations(3))
     table = {}
     for tag, rep in _CANONICALS.items():
-        grid, den = rep.scaled()
+        grid, den = rep.grid, rep.den
         for p in perms:
             rows = [grid[r] for r in p.inverse()]
             for q in perms:
@@ -134,8 +135,8 @@ def classify2(a):
     """
     if a.n != 2:
         raise DomainError(f"classify2 needs order 2, got {a.n}")
-    grid, den = validate_ds(a).scaled()
-    return 2 * grid[0][0] in (0, den, 2 * den)
+    a = validate_ds(a)
+    return 2 * a.grid[0][0] in (0, a.den, 2 * a.den)
 
 
 def classify3(a):
@@ -149,8 +150,7 @@ def classify3(a):
     if a.n != 3:
         raise DomainError(f"classify3 needs order 3, got {a.n}")
     a = validate_ds(a)
-    grid, den = a.scaled()
-    hit = _ORBITS.get((den, *grid[0], *grid[1], *grid[2]))
+    hit = _ORBITS.get((a.den, *a.grid[0], *a.grid[1], *a.grid[2]))
     if hit is not None:
         return Classification(True, form=hit[0], witness=hit[1])
     return Classification(False, separator=diagsum.max_trace_assignment(a).argmax)

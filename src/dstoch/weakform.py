@@ -321,7 +321,7 @@ def matrix_to_params(a):
     at entry (2,1): u = 2(a11 - a22), v = 2(a11 + a22) - 3, w = a12."""
     if a.n != 3:
         raise DomainError(f"need order 3, got {a.n}")
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     if grid[1][0] != 0:
         raise ZeroCellMissing(a[1, 0])
     u, v = 2 * (grid[0][0] - grid[1][1]), 2 * (grid[0][0] + grid[1][1]) - 3 * den
@@ -343,7 +343,7 @@ def _order3_rows(a):
     """(rows, den): the integer numerators of an order-3 RatMatrix over
     their common denominator den, or the exact rows that params_to_matrix
     builds at an irrational root, with den = 1."""
-    rows, den = a.scaled() if isinstance(a, RatMatrix) else (a, 1)
+    rows, den = (a.grid, a.den) if isinstance(a, RatMatrix) else (a, 1)
     if len(rows) != 3:
         raise DomainError(f"need order 3, got {len(rows)}")
     return rows, den

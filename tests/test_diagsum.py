@@ -119,7 +119,7 @@ def test_assignment_potentials_certify_optimality():
     for _ in range(50):
         n = rng.randint(2, 6)
         a = random_ds(n, n, seed=rng.next64())
-        for weight, slack in ((a.rows, 0), (a.scaled()[0], 0), (a.to_floats(), 1e-12)):
+        for weight, slack in ((a.rows, 0), (a.grid, 0), (a.to_floats(), 1e-12)):
             assign, u, v = _assignment_max(weight)
             for i in range(n):
                 for j in range(n):
@@ -210,7 +210,7 @@ def permanent_naive(a):
     n = a.n
     if n > NAIVE_PERMANENT_CAP:
         raise OrderTooLarge(n, NAIVE_PERMANENT_CAP, "naive permanent")
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     total = 0
     for perm in itertools.permutations(range(n)):
         prod = 1
@@ -227,7 +227,7 @@ def _reference_ryser(a):
 
     the kernel `permanent` ran before Glynn's formula replaced it."""
     n = a.n
-    grid, den = a.scaled()
+    grid, den = a.grid, a.den
     cols = list(zip(*grid))
     rowsum = [0] * n
     total = 0

@@ -1,5 +1,6 @@
-"""Refusals: one integer rule for every public argument, and the error
-branches of each module with the exception type and message they carry."""
+"""Refusals: one integer rule for every public argument, one grammar for
+every exact number `ds` reads, and the error branches of each module with
+the exception type and message they carry."""
 
 import io
 import math
@@ -8,8 +9,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dstoch.cli
+from dstoch.ratmat import parse_integer
 from dstoch import (
     BlockSpec,
     DomainError,
@@ -228,3 +231,87 @@ def test_cli_reports_the_rule_on_one_line(argv, line):
     with redirect_stdout(out), redirect_stderr(err):
         assert dstoch.cli.main(argv) == 1
     assert out.getvalue() == "" and err.getvalue() == line + "\n"
+
+
+# ── the text grammar ──────────────────────────────────────────────────────
+
+def _ds(argv):
+    """(exit code, stdout, stderr) of one `ds` run; argparse's usage errors
+    exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = dstoch.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_ARABIC_HALF = '{"rows":[["\u0661/\u0662","1/2"],["1/2","1/2"]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--name", "Jn:1_0"],
+    ["canonical", "--name", "Tn:\u0663"],
+    ["canonical", "--name", "Jn:3/1"],
+    ["products", "--n", "1_2", "--samples", "0", "--seed", "0"],
+    ["products", "--n", "3", "--samples", "0", "--seed", "0_1"],
+    ["probe", "--n", "3", "--samples", "\u0663", "--seed", "0"],
+    ["products", "--n", "3", "--samples", "0", "--seed", "0", "--max-parts", "4_0"],
+    ["enumerate", "--denominator", " 1_2"],
+    ["enumerate", "--denominator", "2", "--zero-cell", "0,1_0"],
+    ["enumerate", "--denominator", "2", "--zero-cell", "0,\u0661"],
+    ["region", "--u", "\u0663/\u0665", "--v", "0"],
+    ["check", _ARABIC_HALF],
+    ["probe", "--n", "3", "--samples", "1", "--seed", "0", "--tol", "1e-9"],
+], ids=["jn-underscore", "tn-arabic", "jn-slash", "n-underscore", "seed-underscore",
+        "samples-arabic", "max-parts-underscore", "denominator-blank-underscore",
+        "zero-cell-underscore", "zero-cell-arabic", "u-arabic", "entry-arabic",
+        "tol-gone"])
+def test_ds_refuses_every_number_off_the_grammar(tmp_path, argv):
+    if argv[0] == "check":
+        path = tmp_path / "m.json"
+        path.write_text(argv[1], encoding="utf-8")
+        argv = ["check", str(path)]
+    code, out, err = _ds(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("ds")
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["products", "--n", "+3", "--samples", " 2 ", "--seed", "-5", "--max-parts", "+2"],
+     ["products", "--n", "3", "--samples", "2", "--seed", "-5", "--max-parts", "2"]),
+    (["probe", "--n", " 3 ", "--samples", "+6", "--seed", "-24"],
+     ["probe", "--n", "3", "--samples", "6", "--seed", "-24"]),
+    (["canonical", "--name", "Jn:+3"], ["canonical", "--name", "Jn:3"]),
+    (["canonical", "--name", "Tn: 4 "], ["canonical", "--name", "Tn:4"]),
+    (["enumerate", "--denominator", " +6 ", "--zero-cell", " 1 ,+0"],
+     ["enumerate", "--denominator", "6", "--zero-cell", "1,0"]),
+])
+def test_ds_accepted_spellings_keep_their_bytes(argv, plain):
+    code, out, err = _ds(argv)
+    assert (code, out, err) == _ds(plain) and code == 0 and out
+
+
+def test_negative_seed_is_echoed():
+    code, out, _ = _ds(["products", "--n", "3", "--samples", "1", "--seed", "-5"])
+    assert code == 0 and '"seed":-5' in out
+
+
+# text holding a digit-group underscore or a digit outside ASCII, anywhere:
+# Python's int() reads both in numbers, the grammar neither
+_OFF_GRAMMAR = st.tuples(
+    st.text(max_size=4),
+    st.just("_") | st.characters(categories=["Nd"]).filter(lambda c: c not in "0123456789"),
+    st.text(max_size=4),
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(st.integers(), st.fractions(), _OFF_GRAMMAR)
+def test_grammar_round_trips_and_refuses(k, q, text):
+    assert parse_integer(str(k)) == k
+    assert parse_rational(str(q)) == q
+    for parse in (parse_integer, parse_rational):
+        with pytest.raises(ParseError):
+            parse(text)
