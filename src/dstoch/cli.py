@@ -194,6 +194,14 @@ def cmd_canonical(args):
 
 # ── driver ────────────────────────────────────────────────────────────────
 
+def _integer_option(text):
+    """parse_integer for argparse, which prints the message after the usage line."""
+    try:
+        return parse_integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -237,18 +245,18 @@ def _build_parser():
     p.add_argument("--v", required=True)
     p.add_argument("--sign", choices=["minus", "plus"], required=True)
     p = add("enumerate", cmd_enumerate, "exact census of the 1/d grid")
-    p.add_argument("--denominator", type=parse_integer, required=True)
+    p.add_argument("--denominator", type=_integer_option, required=True)
     p.add_argument("--zero-cell", default=None, metavar="I,J")
     p = add("products", cmd_products, "seeded block-J product probes")
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.add_argument("--samples", type=parse_integer, required=True)
-    p.add_argument("--seed", type=parse_integer, required=True)
-    p.add_argument("--max-parts", type=parse_integer, default=4)
+    p.add_argument("--n", type=_integer_option, required=True)
+    p.add_argument("--samples", type=_integer_option, required=True)
+    p.add_argument("--seed", type=_integer_option, required=True)
+    p.add_argument("--max-parts", type=_integer_option, default=4)
     p = add("probe", cmd_probe, "float sampling with exact rational "
                                 "reconstruction of near-saturating finds")
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.add_argument("--samples", type=parse_integer, required=True)
-    p.add_argument("--seed", type=parse_integer, required=True)
+    p.add_argument("--n", type=_integer_option, required=True)
+    p.add_argument("--samples", type=_integer_option, required=True)
+    p.add_argument("--seed", type=_integer_option, required=True)
     p = add("canonical", cmd_canonical, "emit a canonical matrix "
                                         "(I3|J3|I1J2|S|T|R|Tn:<n>|Jn:<n>)")
     p.add_argument("--name", required=True)

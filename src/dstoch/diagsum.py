@@ -237,6 +237,7 @@ FLIP_BLOCK = 11          # sign vectors per numpy block: 2^FLIP_BLOCK
 INT64_BOUND = 1 << 62    # every int64 run product stays below this
 LIMB = 21                # bits per limb of a block's exact sum
 _LIMB_MASK = (1 << LIMB) - 1
+_WORKSPACE = []          # at most one retained set of `_glynn_int64` block buffers
 
 
 def permanent(a):
@@ -260,6 +261,8 @@ def permanent(a):
     every multiply, and the block's sum is one (limbs x limbs) float64
     matmul of the two halves' limbs, every entry below 2^11 * 2^42 = 2^53
     and so exact; `_glynn_int64` states the bound of each intermediate.
+    Its block buffers live in one workspace kept between calls, so that a
+    call does not fault them in afresh.
     """
     n = a.n
     if n > PERMANENT_CAP:
@@ -348,24 +351,48 @@ def _glynn_int64(grid, runs):
         sum of the float64 matmul is an exact integer;
       * the int64 sum of the blocks' matmuls, over at most
         2^(PERMANENT_CAP - 1 - FLIP_BLOCK) = 2^8 blocks, stays below 2^61.
+
+    Every block intermediate goes into one workspace kept in `_WORKSPACE`
+    between calls and grown, never shrunk, to the largest (n, h) seen (h
+    runs per half): about (32h + n - 3) rows of 2^FLIP_BLOCK 8-byte cells,
+    1.26 MB at n = 16 with h = 2.  Allocated afresh, the buffers cost every
+    call 190-260 minor page faults at n = 12-16; kept, none.  A call pops
+    the workspace and puts it back, so threads never share buffers.
     """
     import numpy as np
+
+    try:
+        space = _WORKSPACE.pop()
+    except IndexError:                        # the first call, or another thread has it
+        space = {}
+    def buffer(name, *shape, dtype=np.int64):   # grown to fit, never shrunk
+        size = math.prod(shape)
+        if name not in space or space[name].size < size:
+            space[name] = np.empty(size, dtype)
+        return space[name][:size].reshape(shape)
 
     n = len(grid)
     g = np.array(grid, dtype=np.int64)
     m = min(n - 1, FLIP_BLOCK)
     width = 1 << m
-    sums = np.empty((n, width), dtype=np.int64)
+    sums = buffer("sums", n, width)
     sums[:, 0] = g.sum(axis=1)
-    sign = np.ones(width, dtype=np.int64)
+    sign = buffer("sign", width)
+    sign[0] = 1
     for c in range(1, m + 1):
         w = 1 << (c - 1)
         np.subtract(sums[:, :w], 2 * g[:, c:c + 1], out=sums[:, w:2 * w])
         np.negative(sign[:w], out=sign[w:2 * w])
     steps = 2 * g[:, m + 1:].T[:, :, None]
     h = (len(runs) + 1) // 2                  # runs per half
-    prods = np.ones((2, h, width), dtype=np.int64)
-    split = np.empty((3, 2, h, width), dtype=np.int64)
+    prods = buffer("prods", 2, h, width)
+    prods[1, h - 1] = 1                       # the run of ones when len(runs) is odd
+    split = buffer("split", 3, 2, h, width)
+    conv = buffer("conv", 2, 3 * h, 2, width)
+    part = buffer("part", 3 * h - 3, 2, width)
+    carry = buffer("carry", 2, width)
+    both = buffer("both", 3 * h, 2, width, dtype=np.float64)
+    block = buffer("block", 3 * h, 3 * h, dtype=np.float64)
     total = np.zeros((3 * h, 3 * h), dtype=np.int64)
     for k in range(1 << (n - 1 - m)):
         if k:
@@ -384,21 +411,20 @@ def _glynn_int64(grid, runs):
         limbs = split[:, :, 0]                # limb rows x halves x width
         for j in range(1, h):
             size, run = len(limbs), split[:, :, j]
-            out = np.empty((size + 3, 2, width), dtype=np.int64)
+            out = conv[j & 1, :size + 3]
             np.multiply(limbs, run[0], out=out[:size])
             out[size:] = 0
-            out[1:size + 1] += limbs * run[1]
-            out[2:size + 2] += limbs * run[2]
+            out[1:size + 1] += np.multiply(limbs, run[1], out=part[:size])
+            out[2:size + 2] += np.multiply(limbs, run[2], out=part[:size])
             for i in range(size + 2):
-                out[i + 1] += out[i] >> LIMB
+                out[i + 1] += np.right_shift(out[i], LIMB, out=carry)
             out[:-1] &= _LIMB_MASK
             limbs = out
-        both = limbs.astype(np.float64)
-        block = (both[:, 0] @ both[:, 1].T).astype(np.int64)
-        if k & 1:
-            total -= block
-        else:
-            total += block
+        np.copyto(both, limbs)
+        np.matmul(both[:, 0], both[:, 1].T, out=block)
+        add = np.subtract if k & 1 else np.add   # in int64: block holds exact integers
+        add(total, block, out=total, dtype=np.int64, casting="unsafe")
+    _WORKSPACE[:] = [space]                   # keep one set, whichever call ends last
     return sum(v << LIMB * (i + j)
                for i, row in enumerate(total.tolist()) for j, v in enumerate(row))
 

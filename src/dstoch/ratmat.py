@@ -86,9 +86,9 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def _parse_ratio(text, integer=False):
     """(p, q) of "p/q" or an integer string, q > 0 and not reduced, with
-    surrounding blanks stripped; with integer, "/q" is refused too.  Decimals
-    are rejected: the formats are exact, and "0.5" is ambiguous about intent."""
-    what, text = "integer" if integer else "rational", text.strip()
+    surrounding ASCII blanks stripped; with integer, "/q" is refused too.
+    Decimals are rejected: the formats are exact, "0.5" ambiguous in intent."""
+    what, text = "integer" if integer else "rational", text.strip(" \t\r\n\v\f")
     match = _RATIONAL_RE.fullmatch(text)
     if not match or integer and match[1]:
         raise ParseError(f"not an exact {what}: {text!r}")

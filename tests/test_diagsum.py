@@ -3,6 +3,8 @@ permanent, and the gap report."""
 
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -426,6 +428,85 @@ def test_glynn_limb_arithmetic_fits_its_types():
     assert largest["limb"] < 2 ** LIMB
     assert entry < 2 ** 53                 # exact in float64
     assert blocks * entry < 2 ** 63        # the int64 sum over blocks
+
+
+def _bounded_rows(rng, n, bound):
+    """Signed rows whose entries' magnitudes sum to exactly `bound`, so the
+    greedy runs of `_int64_runs` hold the same number of rows each."""
+    rows = []
+    for _ in range(n):
+        row = [rng.randint(-bound // (2 * n), bound // (2 * n)) for _ in range(n - 1)]
+        rest = bound - sum(map(abs, row))
+        rows.append(row + [rest if rng.randint(0, 1) else -rest])
+    return rows
+
+
+@pytest.fixture(scope="module")
+def workspace_cases():
+    """(n, run count, grid, Glynn sum by `_glynn_loop`) in the order the
+    workspace tests call `_glynn_int64`: each pair at one h (runs per
+    half) goes from an even run count to an odd one, whose padding run of
+    ones must not read the previous call's run products; h rises to 6
+    (one-row runs), n to 17, and both fall back."""
+    rng = SplitMix64(612)
+    cases = []
+    for n, bound, count in ((12, 1000, 2), (12, 30, 1), (16, 20000, 4), (12, 20000, 3),
+                            (14, 10 ** 6, 5), (12, 2 ** 40, 12), (17, 2 ** 25, 9),
+                            (12, 25, 1)):
+        grid = _bounded_rows(rng, n, bound)
+        assert len(_int64_runs([sum(map(abs, row)) for row in grid])) == count
+        cases.append((n, count, grid, _glynn_loop(grid)))
+    return cases
+
+
+def _glynn_runs(grid):
+    return _glynn_int64(grid, _int64_runs([sum(map(abs, row)) for row in grid]))
+
+
+def test_glynn_workspace_across_orders_and_run_counts(workspace_cases):
+    for n, count, grid, expected in workspace_cases:
+        assert _glynn_runs(grid) == expected, (n, count)
+
+
+def test_glynn_workspace_is_kept_and_reused(workspace_cases):
+    grids = {(n, count): grid for n, count, grid, _ in workspace_cases}
+    _glynn_runs(grids[12, 12])             # h = 6, the largest of the cases
+    _glynn_runs(grids[17, 9])              # n = 17, the largest
+    assert len(diagsum._WORKSPACE) == 1
+    space = diagsum._WORKSPACE[0]
+    buffers = dict(space)
+    for shape in ((17, 9), (12, 12), (12, 1), (16, 4)):   # seen, then smaller
+        _glynn_runs(grids[shape])
+        assert len(diagsum._WORKSPACE) == 1 and diagsum._WORKSPACE[0] is space
+        assert space.keys() == buffers.keys()
+        assert all(space[name] is array for name, array in buffers.items())
+
+
+def test_glynn_workspace_is_never_shared_between_threads(workspace_cases):
+    cases = [(grid, expected) for n, _, grid, expected in workspace_cases if n in (14, 16)]
+    start = threading.Barrier(4, timeout=60)
+    wrong = []
+
+    def work(t):
+        start.wait()
+        for i in range(4):
+            grid, expected = cases[(t + i) % 2]
+            if _glynn_runs(grid) != expected:
+                wrong.append((t, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(diagsum._WORKSPACE) <= 1
 
 
 def test_permanent_matches_naive_on_signed_matrices():

@@ -278,6 +278,28 @@ def test_ds_refuses_every_number_off_the_grammar(tmp_path, argv):
     assert err.splitlines()[-1].startswith("ds")
 
 
+@pytest.mark.parametrize("flag, text", [("--n", "1_2"), ("--seed", "0_1")])
+def test_integer_option_usage_error_names_the_grammar(flag, text):
+    options = {"--n": "3", "--samples": "0", "--seed": "0", flag: text}
+    code, out, err = _ds(["products", *(word for pair in options.items() for word in pair)])
+    assert (code, out) == (2, "") and err.startswith("usage: ds products")
+    assert err.splitlines()[-1] == (
+        f"ds products: error: argument {flag}: not an exact integer: {text!r}")
+
+
+@pytest.mark.parametrize("blank", ["\u2003", "\u3000", "\u00a0"])
+def test_only_ascii_blanks_are_stripped(tmp_path, blank):
+    entry, n = f"{blank}1/2{blank}", f"{blank}3{blank}"
+    path = tmp_path / "m.csv"
+    path.write_text(f"1/2,{entry}\n1/2,1/2\n", encoding="utf-8")
+    assert _ds(["check", str(path)]) == (
+        2, "", f"ds: parse error: not an exact rational: {entry!r} at line 1, column 2\n")
+    code, out, err = _ds(["products", "--n", n, "--samples", "0", "--seed", "0"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"ds products: error: argument --n: not an exact integer: {n!r}")
+
+
 @pytest.mark.parametrize("argv, plain", [
     (["products", "--n", "+3", "--samples", " 2 ", "--seed", "-5", "--max-parts", "+2"],
      ["products", "--n", "3", "--samples", "2", "--seed", "-5", "--max-parts", "2"]),
