@@ -6,8 +6,8 @@ in exact rational arithmetic:
 
   * the Frobenius norm squared, sum of all squared entries;
   * diagonal sums and the maximal trace max_tr(A) = max_s sum_i A[i,s(i)],
-    by an assignment solver on a matrix's integer grid (`RatMatrix.grid`)
-    (factorial brute force is kept as its independent oracle);
+    by a greedy start and lazy-potential Dijkstra searches on a matrix's
+    integer grid (`RatMatrix.grid`), with factorial brute force as oracle;
   * the maximal diagonal product;
   * the permanent, by Glynn's formula over the 2^(n-1) sign vectors with
     first sign +1, in Gray-code order: O(n 2^(n-1)).  Below order 12 a
@@ -25,8 +25,8 @@ in exact rational arithmetic:
     doubly stochastic A and whose vanishing ("saturation") is the
     classification problem handled in `saturation`.
 
-Reported argmax permutations are the lexicographically smallest optimum
-(the solver reaches it from its own matching by tight alternating paths).
+Reported argmax permutations are the lexicographically smallest optimum:
+the first perfect matching on the edges the solver's potentials make tight.
 """
 
 import collections
@@ -109,12 +109,16 @@ def max_diag_product(a):
 
 # ── assignment solver ─────────────────────────────────────────────────────
 #
-# Shortest-augmenting-path Hungarian method with potentials, maximizing.  It
-# is generic over the entry type: exact matrices reach it as Python ints (the
-# numerators `RatMatrix.grid` over the common denominator `RatMatrix.den`) and
-# the float tier as floats.  Only +, -, and < are used, never division, so
-# integer inputs stay exact; math.inf is the open bound, since ints and floats
-# both compare with it.
+# Shortest augmenting paths with potentials, maximizing, after Jonker and
+# Volgenant (1987).  The start u_i = max_j w_ij, v = 0 is feasible and each
+# row takes its first free argmax column.  Each row left free runs one
+# Dijkstra search over the columns by slack u + v - w, taking the closest
+# unscanned column as the min over the unscanned list, until it reaches a
+# free column at distance D; the potentials then shift once (each scanned
+# column j gains D - dist[j] and its row loses it, the searching row loses
+# D) and the row augments along `pred`.  Generic over the entry type: exact
+# matrices reach it as Python ints (`RatMatrix.grid`), the float tier as
+# floats.  Only +, -, and < are used, so integer inputs stay exact.
 
 def _assignment_max(weight):
     """Solve max-weight perfect assignment for a square weight matrix.
@@ -124,47 +128,48 @@ def _assignment_max(weight):
     equality on every matched pair.
     """
     n = len(weight)
-    u = [0] * (n + 1)      # 1-based here, index 0 virtual
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)      # p[j]: row matched to column j, 0 if free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)   # least slack u + v - weight into column j
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = weight[i0 - 1]
-            delta = math.inf
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = u[i0] - row[j - 1] + v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] -= delta
-                    v[j] += delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+    u = [max(row) for row in weight]
+    v = [0] * n
+    assign = [-1] * n      # column of row i, -1 if free
+    owner = [-1] * n       # row of column j, -1 if free
+    for i, row in enumerate(weight):
+        for j, x in enumerate(row):
+            if x == u[i] and owner[j] < 0:
+                assign[i], owner[j] = j, i
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assign = [0] * n
-    for j in range(1, n + 1):
-        assign[p[j] - 1] = j - 1
-    return assign, u[1:], v[1:]
+    for i in range(n):
+        if assign[i] >= 0:
+            continue
+        ui = u[i]
+        dist = [ui + vj - x for x, vj in zip(weight[i], v)]
+        pred = [i] * n
+        todo = list(range(n))
+        scanned = []
+        while True:
+            j = min(todo, key=dist.__getitem__)
+            todo.remove(j)
+            r = owner[j]
+            if r < 0:
+                break
+            scanned.append(j)
+            row, base = weight[r], dist[j] + u[r]   # (r, j) is tight
+            for k in todo:
+                s = base + v[k] - row[k]
+                if s < dist[k]:
+                    dist[k], pred[k] = s, r
+        top = dist[j]
+        for k in scanned:
+            shift = top - dist[k]
+            v[k] += shift
+            u[owner[k]] -= shift
+        u[i] -= top
+        while True:
+            r = pred[j]
+            owner[j] = r
+            assign[r], j = j, assign[r]
+            if r == i:
+                break
+    return assign, u, v
 
 
 def _lex_min_matching(adj, match):

@@ -21,7 +21,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
 
@@ -82,13 +82,14 @@ def _integer(x, what, least=None):
 # the one grammar of every exact number `ds` reads: an optional sign, ASCII
 # digits (`\d` would take any Unicode digit) and an optional "/q"
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_BLANKS = " \t\r\n\v\f"   # the only blanks stripped around a number or skipped as a line
 
 
 def _parse_ratio(text, integer=False):
     """(p, q) of "p/q" or an integer string, q > 0 and not reduced, with
     surrounding ASCII blanks stripped; with integer, "/q" is refused too.
     Decimals are rejected: the formats are exact, "0.5" ambiguous in intent."""
-    what, text = "integer" if integer else "rational", text.strip(" \t\r\n\v\f")
+    what, text = "integer" if integer else "rational", text.strip(_BLANKS)
     match = _RATIONAL_RE.fullmatch(text)
     if not match or integer and match[1]:
         raise ParseError(f"not an exact {what}: {text!r}")
@@ -223,10 +224,21 @@ def _ratio(x):
     return _integer(x, "a matrix entry that is not a Fraction"), 1
 
 
+_EXACT = (Fraction, int)
+
+
 def _of_ratios(cls, ratios):
     """The cls matrix of rows of (p, q) pairs, q > 0, over one lcm of the q."""
     den = lcm(*(q for row in ratios for _, q in row))
     return cls.of_grid([[p * (den // q) for p, q in row] for row in ratios], den)
+
+
+def _wrap(cls, grid, den):
+    """The cls matrix holding (grid, den) as given, already in lowest terms."""
+    m = object.__new__(cls)
+    object.__setattr__(m, "grid", grid)
+    object.__setattr__(m, "den", den)
+    return m
 
 
 class RatMatrix:
@@ -242,7 +254,12 @@ class RatMatrix:
     __slots__ = ("grid", "den")
 
     def __new__(cls, rows):
-        return _of_ratios(cls, [[_ratio(x) for x in row] for row in rows])
+        # an entry of any type but exactly Fraction or int passes _ratio's checks
+        rows = [[x if type(x) in _EXACT else Fraction(*_ratio(x)) for x in row] for row in rows]
+        dens = [x.denominator for row in rows for x in row]
+        den = lcm(*dens)
+        grid = iter([x.numerator * (den // q) for x, q in zip(chain.from_iterable(rows), dens)])
+        return cls.of_grid([list(islice(grid, len(row))) for row in rows], den)
 
     @classmethod
     def of_grid(cls, grid, den):
@@ -254,10 +271,7 @@ class RatMatrix:
         c = gcd(den, *chain.from_iterable(grid))
         if c > 1:
             grid = [[x // c for x in row] for row in grid]
-        m = object.__new__(cls)
-        object.__setattr__(m, "grid", grid)
-        object.__setattr__(m, "den", den // c)
-        return m
+        return _wrap(cls, grid, den // c)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -350,7 +364,8 @@ def validate_ds(m):
     """
     if isinstance(m, DoublyStochastic):
         return m
-    return DoublyStochastic.of_grid(m.grid, m.den)
+    _check_ds(m)       # a RatMatrix's grid is already in lowest terms
+    return _wrap(DoublyStochastic, m.grid, m.den)
 
 
 # ── canonical constructors ────────────────────────────────────────────────
@@ -491,9 +506,9 @@ def _parse_matrix_json(text):
 
 
 def _parse_matrix_csv(text):
-    # (file line number, text) of every non-blank line
-    lines = [(k, line) for k, line in enumerate(text.splitlines(), 1)
-             if line.strip()]
+    # (file line number, text) of each line not of _BLANKS alone; lines end at
+    # "\n" only, and the "\r" of a CRLF ending goes with its cell's blanks
+    lines = [(k, line) for k, line in enumerate(text.split("\n"), 1) if line.strip(_BLANKS)]
     if not lines:
         raise ParseError("empty matrix text")
     out = [_parse_row(line.split(","), k) for k, line in lines]

@@ -1,8 +1,10 @@
 """Frobenius norm squared, maximal trace (both routes), diagonal products,
 permanent, and the gap report."""
 
+import functools
 import itertools
 import math
+import operator
 import sys
 import threading
 from fractions import Fraction as F
@@ -128,6 +130,120 @@ def test_assignment_potentials_certify_optimality():
                     assert weight[i][j] <= u[i] + v[j] + slack
             assert all(abs(weight[i][assign[i]] - u[i] - v[assign[i]]) <= slack
                        for i in range(n))
+
+
+def _assignment_max_emaxx(weight):
+    """The textbook (e-maxx) Hungarian loop from zero potentials, 1-based
+    with a virtual column 0: every row pays a full search.  The oracle for
+    `_assignment_max`'s float-tier choices."""
+    n = len(weight)
+    u, v, p, way = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0], j0 = i, 0
+        minv, used = [math.inf] * (n + 1), [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0, delta = p[j0], math.inf
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = u[i0] - weight[i0 - 1][j - 1] + v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] -= delta
+                    v[j] += delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0], j0 = p[j1], j1
+    assign = [0] * n
+    for j in range(1, n + 1):
+        assign[p[j] - 1] = j - 1
+    return assign, u[1:], v[1:]
+
+
+def _certify(weight, assign, u, v):
+    """The duals dominate every entry and are tight on the assignment, a
+    permutation: exact, so for int and Fraction weights only."""
+    n = len(weight)
+    assert sorted(assign) == list(range(n))
+    assert all(weight[i][j] <= u[i] + v[j] for i in range(n) for j in range(n))
+    assert all(weight[i][assign[i]] == u[i] + v[assign[i]] for i in range(n))
+
+
+def _one_greedy_row(n):
+    # every row's unique maximum sits in column 0, so the greedy start
+    # matches row 0 alone and n - 1 searches remain
+    return [[(n - j) * (i + 1) + (i * j) % 3 for j in range(n)] for i in range(n)]
+
+
+def _solver_cases():
+    rng = SplitMix64(2525)
+    cases = [("random_ds", random_ds(n, n, seed=s).grid) for n in (16, 32, 64) for s in (1, 2, 3)]
+    cases += [("jn", make_jn(n).grid) for n in (1, 2, 7, 33)]
+    for n in (6, 12, 40):
+        parts, left = [], n
+        while left:
+            parts.append(rng.randint(1, min(left, 5)))
+            left -= parts[-1]
+        cases.append(("block_j", block_j_form(Permutation.random(n, rng), parts,
+                                              Permutation.random(n, rng)).grid))
+    cases += [("one_greedy_row", _one_greedy_row(n)) for n in (2, 5, 7, 30)]
+    cases += [("empty", []), ("one", [[7]])]
+    return cases
+
+
+@pytest.mark.parametrize("weight", [pytest.param(w, id=f"{kind}-{len(w)}-{k}")
+                                    for k, (kind, w) in enumerate(_solver_cases())])
+def test_assignment_duals_are_feasible_and_tight(weight):
+    n = len(weight)
+    assign, u, v = diagsum._assignment_max(weight)
+    _certify(weight, assign, u, v)
+    _certify([[F(x, 3) for x in row] for row in weight],
+             *diagsum._assignment_max([[F(x, 3) for x in row] for row in weight]))
+    best = sum(weight[i][assign[i]] for i in range(n))
+    assert best == sum(row[j] for row, j in zip(weight, _assignment_max_emaxx(weight)[0]))
+    if n <= 7:
+        a = RatMatrix.of_grid(weight, 1)
+        assert (best, max_trace_assignment(a).argmax) == tuple(max_trace_brute(a)[:2])
+
+
+def test_assignment_greedy_start_settles_permutation_matrices():
+    # each row's one maximum is its own column: no search runs, and the
+    # start potentials (row maxima, zero columns) come back unchanged
+    rng = SplitMix64(77)
+    for n in (1, 2, 9, 64):
+        p = Permutation.random(n, rng)
+        grid = perm_matrix(p).grid
+        assert diagsum._assignment_max(grid) == (list(p), [1] * n, [0] * n)
+
+
+def test_one_greedy_row_inputs_leave_the_other_rows_to_the_search():
+    for n in (2, 5, 7, 30):
+        assert all(row.count(max(row)) == 1 and row[0] == max(row) for row in _one_greedy_row(n))
+
+
+def test_float_tier_matches_the_emaxx_oracle_bit_for_bit():
+    # the probe screens float samples by max_trace_value; on seeded samples
+    # of every kind its value and assignment equal the old loop's (a jitter
+    # sample, rebalanced by up to 10,000 Sinkhorn passes, costs ~0.1 s)
+    from dstoch.explore import _probe_sample
+    rng = SplitMix64(2526)
+    for n in range(1, 9):
+        for kind, count in (("sinkhorn", 100), ("mixture", 100), ("jitter", 3)):
+            for _ in range(count):
+                x = _probe_sample(n, kind, rng)
+                assign = _assignment_max_emaxx(x)[0]
+                assert diagsum._assignment_max(x)[0] == assign, (n, kind, x)
+                value = functools.reduce(operator.add, (x[i][assign[i]] for i in range(n)))
+                assert diagsum.max_trace_value(x).hex() == value.hex()
 
 
 def test_lex_min_matching_from_every_start_is_the_lex_first():

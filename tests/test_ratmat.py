@@ -392,6 +392,29 @@ def test_ratmat_refuses_entries_that_are_not_exact_rationals(bad):
         RatMatrix([[bad, 0], [0, 1]])
 
 
+def test_ratmat_intake_matches_the_per_entry_path():
+    # entries of exactly Fraction or int are read as they are, any other
+    # entry through `_ratio`; one lcm over all entries scales them all
+    from dstoch.ratmat import _of_ratios, _ratio
+
+    class Half(F):
+        pass
+
+    rng = SplitMix64(31)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.below(3)
+                 else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        slow = _of_ratios(RatMatrix, [[_ratio(x) for x in row] for row in rows])
+        m = RatMatrix(rows)
+        assert (m.grid, m.den) == (slow.grid, slow.den)
+        assert all(type(x) is int for row in m.grid for x in row)
+        rows[0][0] = Half(rows[0][0])
+        assert RatMatrix(rows) == slow
+    with pytest.raises(DomainError, match="square"):
+        RatMatrix([[F(1, 2), F(1, 2), 0], [1]])
+
+
 def test_ratmat_stores_numpy_integers_as_python_ints():
     np = pytest.importorskip("numpy")
     m = RatMatrix(np.eye(2, dtype=np.int64))

@@ -300,6 +300,29 @@ def test_only_ascii_blanks_are_stripped(tmp_path, blank):
         f"ds products: error: argument --n: not an exact integer: {n!r}")
 
 
+@pytest.mark.parametrize("text, line, col, cell", [
+    ("1/2,1/2\u20281/2,1/2\n", 1, 2, "1/2\u20281/2"),
+    ("1/2,1/2\x1c1/2,1/2\n", 1, 2, "1/2\x1c1/2"),
+    ("1/2,1/2\x1d1/2,1/2\n", 1, 2, "1/2\x1d1/2"),
+    ("1/2,1/2\x1e1/2,1/2\n", 1, 2, "1/2\x1e1/2"),
+    ("1/2,1/2\x851/2,1/2\n", 1, 2, "1/2\x851/2"),
+    ("1/2,1/2\n\u3000\n1/2,1/2\n", 2, 1, "\u3000"),
+], ids=["U+2028", "x1c", "x1d", "x1e", "x85", "U+3000-line"])
+def test_csv_lines_end_only_at_newline(tmp_path, text, line, col, cell):
+    # Unicode line breaks join rows, and a line of non-ASCII blanks is a row
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _ds(["check", str(path)]) == (
+        2, "", f"ds: parse error: not an exact rational: {cell!r} at line {line}, column {col}\n")
+
+
+def test_csv_reads_crlf_and_skips_ascii_blank_lines():
+    half = RatMatrix([[F(1, 2)] * 2] * 2)
+    assert parse_matrix("1/2,1/2\r\n \t\v\f\r\n1/2, 1/2\r\n") == half
+    with pytest.raises(ParseError, match="at line 3, column 1"):
+        parse_matrix("1/2,1/2\r\n\r\n\u20021/2,1/2\r\n")
+
+
 @pytest.mark.parametrize("argv, plain", [
     (["products", "--n", "+3", "--samples", " 2 ", "--seed", "-5", "--max-parts", "+2"],
      ["products", "--n", "3", "--samples", "2", "--seed", "-5", "--max-parts", "2"]),
