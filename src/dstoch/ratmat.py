@@ -21,7 +21,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -217,11 +217,11 @@ def all_permutations(n):
 
 # ── matrices ──────────────────────────────────────────────────────────────
 
-def _ratio(x):
-    """(numerator, denominator) of a Fraction or a non-bool integer entry."""
+def _ratio(x, what="a matrix entry"):
+    """(numerator, denominator) of a Fraction or a non-bool integer x."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    return _integer(x, "a matrix entry that is not a Fraction"), 1
+    return _integer(x, f"{what} that is not a Fraction"), 1
 
 
 _EXACT = (Fraction, int)
@@ -254,12 +254,10 @@ class RatMatrix:
     __slots__ = ("grid", "den")
 
     def __new__(cls, rows):
-        # an entry of any type but exactly Fraction or int passes _ratio's checks
-        rows = [[x if type(x) in _EXACT else Fraction(*_ratio(x)) for x in row] for row in rows]
-        dens = [x.denominator for row in rows for x in row]
-        den = lcm(*dens)
-        grid = iter([x.numerator * (den // q) for x, q in zip(chain.from_iterable(rows), dens)])
-        return cls.of_grid([list(islice(grid, len(row))) for row in rows], den)
+        # one as_integer_ratio() call reads an entry of exactly Fraction or
+        # int; an entry of any other type passes _ratio's checks
+        return _of_ratios(cls, [[x.as_integer_ratio() if type(x) in _EXACT else _ratio(x)
+                                 for x in row] for row in rows])
 
     @classmethod
     def of_grid(cls, grid, den):

@@ -25,11 +25,11 @@ closed disc E0: u^2 + v^2 <= 7/6 and three solid ellipses
     E3: 15 u^2 + 25 (v - 1/5)^2 <= 16
 
 giving the minus-root region U_minus and the plus-root region U_plus (the
-latter contains the isolated point (0, 1)).  Both region predicates are
-decided in exact rational arithmetic, and so is everything built on the
-root: w is a Fraction when the discriminant 7 - 6u^2 - 6v^2 is the square
-of a rational and an exact a + b sqrt(disc) in Q(sqrt(disc)) otherwise,
-so feasibility and the weak-form checks are sign tests, with no tolerance.
+latter contains the isolated point (0, 1)).  The predicates and the root are
+integer sign tests over the lcm q of the denominators of u and v: each region
+is one inequality scaled by q^2, and w is a Fraction when D = q^2 disc is a
+perfect square and an exact a + b sqrt(disc) in Q(sqrt(disc)) otherwise, so
+feasibility and the weak-form checks have no tolerance.
 
 The weak form alone has all-positive solutions besides J_3:
 [[4,7,1],[4,1,7],[4,4,4]]/12 has ||A||_F^2 = 5/4, the sum on its diagonal
@@ -46,9 +46,9 @@ import collections
 import math
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import isqrt, lcm
 
-from .ratmat import (DomainError, DoublyStochastic, RatMatrix, _integer,
+from .ratmat import (DomainError, DoublyStochastic, RatMatrix, _integer, _ratio,
                      all_permutations)
 
 SIGN_MINUS = "minus"
@@ -56,9 +56,9 @@ SIGN_PLUS = "plus"
 
 BOUNDARY_ROW_CAP = 10 ** 6
 
-_F = Fraction
-_HALF = _F(1, 2)
-_FIFTH = _F(1, 5)
+_PARAMETER = "a weak-form parameter"
+# the six diagonals of order 3, in lex order (the identity first)
+_PERMS3 = tuple(all_permutations(3))
 
 
 class NegativeDiscriminant(DomainError):
@@ -142,20 +142,21 @@ class WeakFormParams(collections.namedtuple(
 
 def _q(x):
     """A Fraction or _Surd as is, an integer as a Fraction; nothing else."""
-    if isinstance(x, (Fraction, _Surd)):
-        return x
-    return Fraction(_integer(x, "a weak-form parameter that is not a Fraction"))
+    return x if isinstance(x, (Fraction, _Surd)) else Fraction(*_ratio(x, _PARAMETER))
 
 
 def rational_sqrt(x):
     """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+    if x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator)):
+        return Fraction(isqrt(x.numerator), isqrt(x.denominator))
     return None
+
+
+def _grid(u, v):
+    """(U, V, q): u = U/q and v = V/q over the lcm q of their denominators."""
+    (a, b), (c, d) = _ratio(u, _PARAMETER), _ratio(v, _PARAMETER)
+    q = lcm(b, d)
+    return a * (q // b), c * (q // d), q
 
 
 def solve_w(u, v, sign):
@@ -168,61 +169,61 @@ def solve_w(u, v, sign):
     if sign not in (SIGN_MINUS, SIGN_PLUS):
         raise DomainError(f"sign must be {SIGN_MINUS!r} or {SIGN_PLUS!r}")
     u, v = _q(u), _q(v)
-    disc = 7 - 6 * u * u - 6 * v * v
-    if disc < 0:
+    big_u, big_v, q = _grid(u, v)
+    d = 7 * q * q - 6 * big_u * big_u - 6 * big_v * big_v
+    disc = Fraction(d, q * q)
+    if d < 0:
         raise NegativeDiscriminant(u, v, disc)
-    s = -1 if sign == SIGN_MINUS else 1
-    root = rational_sqrt(disc)
-    w = (_Surd((1 - 2 * v) / 8, _F(s, 8), disc) if root is None
-         else (1 - 2 * v + s * root) / 8)
-    return WeakFormParams(u, v, w, sign, root is not None, disc)
+    # disc = d / q^2 is a rational square exactly when the integer d is a square
+    s, r = (-1 if sign == SIGN_MINUS else 1), isqrt(d)
+    w = (Fraction(q - 2 * big_v + s * r, 8 * q) if r * r == d
+         else _Surd(Fraction(q - 2 * big_v, 8 * q), Fraction(s, 8), disc))
+    return WeakFormParams(u, v, w, sign, r * r == d, disc)
 
 
 # ── exact region predicates ───────────────────────────────────────────────
 
+# lhs - rhs of the closed E0 (index 0) and Ek (index k), scaled by q^2
+_EXCESS = (
+    lambda u, v, q: 6 * (u * u + v * v) - 7 * q * q,
+    lambda u, v, q: (5 * u + q) ** 2 + 15 * v * v - 16 * q * q,
+    lambda u, v, q: (5 * u - q) ** 2 + 15 * v * v - 16 * q * q,
+    lambda u, v, q: 15 * u * u + (5 * v - q) ** 2 - 16 * q * q,
+)
+
+
 def in_disc_e0(u, v):
     """Closed disc E0: u^2 + v^2 <= 7/6, decided exactly."""
-    u, v = _q(u), _q(v)
-    return 6 * (u * u + v * v) <= 7
+    return _EXCESS[0](*_grid(u, v)) <= 0
 
 
 def in_ellipse(k, u, v, strict_interior=False):
-    """Solid ellipse E1, E2, or E3 (k in {1, 2, 3}), exactly.
-
-    strict_interior tests the open interior (boundary excluded).
-    """
-    k, u, v = _integer(k, "the ellipse index"), _q(u), _q(v)
-    if k == 1:
-        lhs = 25 * (u + _FIFTH) ** 2 + 15 * v * v
-    elif k == 2:
-        lhs = 25 * (u - _FIFTH) ** 2 + 15 * v * v
-    elif k == 3:
-        lhs = 15 * u * u + 25 * (v - _FIFTH) ** 2
-    else:
+    """Solid ellipse E1, E2, or E3 (k in {1, 2, 3}), exactly;
+    strict_interior tests the open interior (boundary excluded)."""
+    k, p = _integer(k, "the ellipse index"), _grid(u, v)
+    if k not in (1, 2, 3):
         raise DomainError(f"ellipse index must be 1, 2, or 3, got {k!r}")
-    return lhs < 16 if strict_interior else lhs <= 16
+    return _EXCESS[k](*p) < 0 if strict_interior else _EXCESS[k](*p) <= 0
 
 
 def in_u_minus(u, v):
     """The minus-sign feasibility region, as an exact conjunction:
     in E0, not interior to E3, v <= 1/2, and pushed back inside E2 (resp.
     E1) when u >= 1/2 (resp. u <= -1/2)."""
-    return (in_disc_e0(u, v)
-            and not in_ellipse(3, u, v, strict_interior=True)
-            and v <= _HALF
-            and (u < _HALF or in_ellipse(2, u, v))
-            and (u > -_HALF or in_ellipse(1, u, v)))
+    p = big_u, big_v, q = _grid(u, v)
+    return (_EXCESS[0](*p) <= 0 <= _EXCESS[3](*p) and 2 * big_v <= q
+            and (2 * big_u < q or _EXCESS[2](*p) <= 0)
+            and (2 * big_u > -q or _EXCESS[1](*p) <= 0))
 
 
 def in_u_plus(u, v):
     """The plus-sign feasibility region: in E0, |u| <= 1/2, outside the
     interiors of E1 and E2, and inside E3 whenever v >= 1/2.  The isolated
     point (0, 1) satisfies all five conditions and needs no special case."""
-    return (in_disc_e0(u, v)
-            and -_HALF <= u <= _HALF
-            and not in_ellipse(1, u, v, strict_interior=True)
-            and not in_ellipse(2, u, v, strict_interior=True)
-            and (v < _HALF or in_ellipse(3, u, v)))
+    p = big_u, big_v, q = _grid(u, v)
+    return (_EXCESS[0](*p) <= 0 and -q <= 2 * big_u <= q
+            and _EXCESS[1](*p) >= 0 and _EXCESS[2](*p) >= 0
+            and (2 * big_v < q or _EXCESS[3](*p) <= 0))
 
 
 # ── boundary curves (float tier, for figure data) ─────────────────────────
@@ -352,11 +353,11 @@ def _order3_rows(a):
 def weak_saturation_check(a):
     """A permutation whose diagonal sum equals the Frobenius norm squared,
     or None, decided exactly; the lex-smallest match is returned."""
-    rows, den = _order3_rows(a)
+    (r0, r1, r2), den = _order3_rows(a)
     # scaled by den^2: ||a||^2 -> frob, a diagonal sum s -> den * s
-    frob = sum(x * x for row in rows for x in row)
-    for p in all_permutations(3):
-        if den * sum(rows[i][p(i)] for i in range(3)) == frob:
+    frob = sum(x * x for x in (*r0, *r1, *r2))
+    for p in _PERMS3:
+        if den * (r0[p[0]] + r1[p[1]] + r2[p[2]]) == frob:
             return p
     return None
 
@@ -364,7 +365,6 @@ def weak_saturation_check(a):
 def trace_dominant(a):
     """Does the plain trace attain the maximal trace?  Decided exactly by
     comparing tr(a) against the five non-identity diagonal sums."""
-    rows, _ = _order3_rows(a)
-    tr = rows[0][0] + rows[1][1] + rows[2][2]
-    return all(sum(rows[i][p(i)] for i in range(3)) <= tr
-               for p in all_permutations(3) if p != (0, 1, 2))
+    (r0, r1, r2), _ = _order3_rows(a)
+    tr = r0[0] + r1[1] + r2[2]
+    return all(r0[p[0]] + r1[p[1]] + r2[p[2]] <= tr for p in _PERMS3[1:])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dstoch import (
     NegativeDiscriminant,
@@ -35,7 +36,8 @@ from dstoch import (
     weak_residual,
     weak_saturation_check,
 )
-from dstoch.weakform import _Surd
+from dstoch.ratmat import DomainError, _integer
+from dstoch.weakform import SIGN_MINUS, SIGN_PLUS, WeakFormParams, _q, _Surd
 
 GRID_40 = [F(k, 40) for k in range(-48, 49)]  # [-6/5, 6/5] step 1/40
 
@@ -474,3 +476,175 @@ def test_weakform_imports_no_numpy():
         else:
             continue
         assert not any(name.split(".")[0] == "numpy" for name in names)
+
+
+# ── the Fraction bodies, as the oracle of the integer grid ────────────────
+#
+# The region predicates and solve_w as dstoch.weakform decided them in
+# Fraction arithmetic before the integer grid replaced them, moved here
+# unchanged but for their names.
+
+_F = F
+_HALF = _F(1, 2)
+_FIFTH = _F(1, 5)
+
+
+def _oracle_solve_w(u, v, sign):
+    if sign not in (SIGN_MINUS, SIGN_PLUS):
+        raise DomainError(f"sign must be {SIGN_MINUS!r} or {SIGN_PLUS!r}")
+    u, v = _q(u), _q(v)
+    disc = 7 - 6 * u * u - 6 * v * v
+    if disc < 0:
+        raise NegativeDiscriminant(u, v, disc)
+    s = -1 if sign == SIGN_MINUS else 1
+    root = rational_sqrt(disc)
+    w = (_Surd((1 - 2 * v) / 8, _F(s, 8), disc) if root is None
+         else (1 - 2 * v + s * root) / 8)
+    return WeakFormParams(u, v, w, sign, root is not None, disc)
+
+
+def _oracle_in_disc_e0(u, v):
+    u, v = _q(u), _q(v)
+    return 6 * (u * u + v * v) <= 7
+
+
+def _oracle_in_ellipse(k, u, v, strict_interior=False):
+    k, u, v = _integer(k, "the ellipse index"), _q(u), _q(v)
+    if k == 1:
+        lhs = 25 * (u + _FIFTH) ** 2 + 15 * v * v
+    elif k == 2:
+        lhs = 25 * (u - _FIFTH) ** 2 + 15 * v * v
+    elif k == 3:
+        lhs = 15 * u * u + 25 * (v - _FIFTH) ** 2
+    else:
+        raise DomainError(f"ellipse index must be 1, 2, or 3, got {k!r}")
+    return lhs < 16 if strict_interior else lhs <= 16
+
+
+def _oracle_in_u_minus(u, v):
+    return (_oracle_in_disc_e0(u, v)
+            and not _oracle_in_ellipse(3, u, v, strict_interior=True)
+            and v <= _HALF
+            and (u < _HALF or _oracle_in_ellipse(2, u, v))
+            and (u > -_HALF or _oracle_in_ellipse(1, u, v)))
+
+
+def _oracle_in_u_plus(u, v):
+    return (_oracle_in_disc_e0(u, v)
+            and -_HALF <= u <= _HALF
+            and not _oracle_in_ellipse(1, u, v, strict_interior=True)
+            and not _oracle_in_ellipse(2, u, v, strict_interior=True)
+            and (v < _HALF or _oracle_in_ellipse(3, u, v)))
+
+
+def _outcome(f, *args):
+    """f's result (a WeakFormParams by its repr), or the type and message
+    of what it raises."""
+    try:
+        r = f(*args)
+    except Exception as e:  # the exception is the outcome
+        return type(e), str(e)
+    return repr(r) if isinstance(r, WeakFormParams) else r
+
+
+_PAIRS = [((in_disc_e0, _oracle_in_disc_e0), ()),
+          ((in_u_minus, _oracle_in_u_minus), ()),
+          ((in_u_plus, _oracle_in_u_plus), ())]
+_PAIRS += [((solve_w, _oracle_solve_w), (sign,)) for sign in ("minus", "plus")]
+_ELLIPSE_CASES = list(itertools.product((1, 2, 3), (False, True)))
+
+
+def _assert_matches_oracle(u, v, ellipses=True):
+    for (new, old), extra in _PAIRS:
+        assert _outcome(new, u, v, *extra) == _outcome(old, u, v, *extra), (new, u, v, extra)
+    for k, strict in _ELLIPSE_CASES if ellipses else ():
+        assert (_outcome(in_ellipse, k, u, v, strict)
+                == _outcome(_oracle_in_ellipse, k, u, v, strict)), (k, u, v, strict)
+
+
+GRID_60 = [F(k, 60) for k in range(-72, 73)]  # [-6/5, 6/5] step 1/60
+
+
+@pytest.mark.parametrize("grid", [GRID_40, GRID_60], ids=["40", "60"])
+def test_integer_grid_matches_the_fraction_oracle_on_the_grid(grid):
+    for u in grid:
+        for v in grid:
+            _assert_matches_oracle(u, v, ellipses=False)
+
+
+def _boundary_points(d):
+    """{boundary: points of the 1/d grid on it}, for E0-E3, u = +-1/2 and
+    v = 1/2, each region's equation multiplied through by d^2."""
+    seen = {}
+    for a, b in itertools.product(range(-6 * d // 5, 6 * d // 5 + 1), repeat=2):
+        on = {"E0": 6 * (a * a + b * b) == 7 * d * d,
+              "E1": (5 * a + d) ** 2 + 15 * b * b == 16 * d * d,
+              "E2": (5 * a - d) ** 2 + 15 * b * b == 16 * d * d,
+              "E3": 15 * a * a + (5 * b - d) ** 2 == 16 * d * d,
+              "u=1/2": 2 * a == d, "u=-1/2": 2 * a == -d, "v=1/2": 2 * b == d}
+        for kind in (k for k, hit in on.items() if hit):
+            seen.setdefault(kind, set()).add((F(a, d), F(b, d)))
+    return seen
+
+
+@pytest.mark.parametrize("d", [40, 60])
+def test_integer_grid_matches_the_fraction_oracle_on_every_boundary_point(d):
+    seen = _boundary_points(d)
+    # E0 has no rational point: 7/6 is not a sum of two rational squares
+    assert set(seen) == {"E1", "E2", "E3", "u=1/2", "u=-1/2", "v=1/2"}
+    assert {(0, F(-3, 5)), (0, 1), (1, 0), (-1, 0)} <= seen["E3"]
+    for u, v in set().union(*seen.values()) | {(F(0), F(1))}:
+        _assert_matches_oracle(u, v)
+
+
+def test_region_seams_cross_the_disc_only_at_irrational_points():
+    # On u = 1/2, u = -1/2 and v = 1/2 the excess of E2, E1 and E3 over its
+    # bound is 5/2 times E0's, so each seam meets the boundary of E0 where
+    # that boundary has no rational point, and whether a region test at a
+    # seam is strict changes no answer at a rational point.
+    def e0(u, v):
+        return 6 * (u * u + v * v) - 7
+    for t in GRID_40 + GRID_60:
+        assert 25 * (_HALF - _FIFTH) ** 2 + 15 * t * t - 16 == F(5, 2) * e0(_HALF, t)
+        assert 25 * (-_HALF + _FIFTH) ** 2 + 15 * t * t - 16 == F(5, 2) * e0(-_HALF, t)
+        assert 15 * t * t + 25 * (_HALF - _FIFTH) ** 2 - 16 == F(5, 2) * e0(t, _HALF)
+
+
+_UNEQUAL = [(F(1, 3), F(-2, 7)), (F(-2, 7), F(1, 3)), (F(5, 12), F(-7, 18)),
+            (F(1, 3), 0), (0, F(-2, 7)), (F(3, 5), F(-1, 1000003)),
+            (F(-499999, 10 ** 6), F(1, 2)), (F(2, 5), F(-999999, 10 ** 6))]
+
+
+def test_integer_grid_matches_the_fraction_oracle_on_unequal_denominators():
+    for u, v in _UNEQUAL:
+        _assert_matches_oracle(u, v)
+
+
+_INTEGERS = [-2, -1, 0, 1, 2, np.int64(0), np.int64(1), np.int32(-1), np.uint8(1),
+             np.int64(-2)]
+_REFUSED = [0.5, np.float64(0.0), True, np.bool_(False), "1/2", None, 1 + 0j]
+
+
+def test_integer_grid_matches_the_fraction_oracle_on_integers_and_refusals():
+    for u, v in itertools.product(_INTEGERS, repeat=2):
+        _assert_matches_oracle(u, v)
+        assert {type(f(u, v)) for f in (in_disc_e0, in_u_minus, in_u_plus)} == {bool}
+    for x in _REFUSED:
+        for u, v in ((x, 0), (0, x), (F(1, 2), x)):
+            _assert_matches_oracle(u, v)
+    for k in (0, 4, -1, True, 1.0, np.int64(2), "1"):
+        for strict in (False, True):
+            assert (_outcome(in_ellipse, k, F(1, 3), F(1, 7), strict)
+                    == _outcome(_oracle_in_ellipse, k, F(1, 3), F(1, 7), strict)), k
+    for sign in ("MINUS", None, 1):
+        assert _outcome(solve_w, 0, 0, sign) == _outcome(_oracle_solve_w, 0, 0, sign)
+
+
+_RATIONALS = st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=10 ** 6),
+                       st.integers(-2, 2))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_integer_grid_matches_the_fraction_oracle_on_large_denominators(u, v):
+    _assert_matches_oracle(u, v)
