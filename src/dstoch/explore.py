@@ -2,23 +2,11 @@
 
 Four harnesses:
 
-  * enumerate_grid: exhaustive census of every 3 x 3 doubly stochastic
-    matrix with entries in (1/d) * Z, testing saturation exactly.  Entries
-    (0,0), (0,1), (1,0), (1,1), scaled to integers in [0, d], determine
-    the other five through the sum constraints.  With the first three
-    fixed, every entry is affine in x22, so the doubly stochastic points
-    of each triple form an interval (counted in closed form) and
-    saturation at each of the six diagonals is an integer quadratic in x22
-    (solved exactly).  That is O(d^3) work instead of a sweep over the
-    (d+1)^4 grid, cut by about 8 more by scanning one (x12, x21) per orbit
-    of the eight symmetries that fix x11 and keep saturation; the scanned
-    (x12, x21) of a slice are a prefix of one triangle, built by position.
-    A census with a zero cell is one x11 = 0 slice, O(d^2), mapped onto
-    the cell by a row and a column swap.  total_candidates still reports
-    the (d+1)^4 grid.  Vectorized with int32 numpy: the largest
-    intermediate, the discriminant, is at most 208 d^2 in absolute value,
-    12.0 million at d = DENOMINATOR_CAP, far below 2^31.  Each saturating
-    point is built from its integer cells over d, with no Fraction.
+  * enumerate_grid: census of every 3 x 3 doubly stochastic matrix with
+    entries in (1/d) * Z, and of the saturating ones among them.  The
+    paper classifies the order-3 saturators as the orbits of six forms,
+    so the saturating points are a lookup in saturation's orbit table and
+    the doubly stochastic count is the Ehrhart polynomial of B_3.
 
   * block_product_probe / search_products: products A @ B of two matrices
     of the form P (J_{n_1} ⊕ ... ⊕ J_{n_r}) Q.  Each factor is idempotent
@@ -40,10 +28,11 @@ Four harnesses:
 
 All seeded operations use SplitMix64 and are bit-reproducible for a given
 seed.  numpy is imported inside the functions that use it, so
-`import dstoch` and the exact `ds` verbs do not load it.  The census loads
-it; the float tier only for Sinkhorn from order NUMPY_MIN_N = 5 on, and
-otherwise runs on lists of Python floats in numpy's summation order, so
-`ds probe --n 3` prints the same bytes without it.
+`import dstoch` and the exact `ds` verbs, the census included, do not
+load it.  The float tier loads it only for Sinkhorn from order
+NUMPY_MIN_N = 5 on, and otherwise runs on lists of Python floats in
+numpy's summation order, so `ds probe --n 3` prints the same bytes
+without it.
 """
 
 import collections
@@ -57,9 +46,9 @@ from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
                      Permutation, SplitMix64, _integer, block_j_form,
                      perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
-from .saturation import CANONICAL_TAGS, canonical, classify3
+from .saturation import _ORBITS, CANONICAL_TAGS, canonical, classify3
 
-DENOMINATOR_CAP = 240
+DENOMINATOR_CAP = 240  # largest d; the census matched an exhaustive scan up to it
 ASYMMETRY_CAP = 8
 PROBE_CAP = 64  # largest order rationality_probe accepts
 PROBE_TOL = 1e-9  # float gap under which a probe sample becomes a candidate
@@ -110,127 +99,23 @@ class ProbeReport(collections.namedtuple("ProbeReport", "n samples seed tol cand
 
 # ── exhaustive grid census ────────────────────────────────────────────────
 
-def _scanned_triples(d, x11s):
-    """The (x11, x12, x21) triples the census scans in the x11 slices of
-    x11s, as three int32 arrays: per slice, x12 <= x21 and 2 x21 <= m with
-    m = d - x11.
-
-    Ordered by x21, then x12, the pairs x12 <= x21 form one triangle, and
-    a slice scans its prefix x21 <= h = m // 2, of length
-    (h + 1) (h + 2) / 2.  So each slice's pairs are read off the largest
-    slice's triangle by position, without a mask over the square.
-    """
-    import numpy as np
-    x11s = np.asarray(x11s, dtype=np.int32)
-    h = (d - x11s) // 2
-    sizes = (h + 1) * (h + 2) // 2
-    top = int(h.max())
-    # the triangle: x21 = j holds the x12 = 0..j, from position j (j + 1) / 2
-    x21 = np.repeat(np.arange(top + 1, dtype=np.int32), np.arange(1, top + 2))
-    x12 = np.arange(len(x21), dtype=np.int32) - x21 * (x21 + 1) // 2
-    # position of each scanned pair in its slice's prefix
-    pos = (np.arange(int(sizes.sum()), dtype=np.int32)
-           - np.repeat(np.cumsum(sizes, dtype=np.int32) - sizes, sizes))
-    return np.repeat(x11s, sizes), x12[pos], x21[pos]
-
-
-def _census_block(d, x11s):
-    """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
-
-    With (x11, x12, x21) fixed and t = x22 free, the sums force
-    x13 = d - x11 - x12 and x31 = d - x11 - x21, and x23 = a - t,
-    x32 = b - t, x33 = c + t with a = d - x21, b = d - x12 and
-    c = x11 + x12 + x21 - d.  The doubly stochastic t form the interval
-    [max(0, -c), min(a, b)].  In integer units d^2 ||A||^2 =
-    K + 2 (c - a - b) t + 4 t^2 and each diagonal sum is alpha + beta t, so
-    saturation at a diagonal is an integer quadratic in t.  Its integer
-    roots inside the interval are the only candidates; each is re-checked
-    exactly against the maximal diagonal.
-
-    The transpose and the swaps of the last two rows and of the last two
-    columns fix x11 and map the grid's doubly stochastic points one-to-one
-    onto themselves, keeping the Frobenius norm and the multiset of
-    diagonal sums, hence saturation.  On the square [0, m]^2 of
-    (x12, x21), with m = d - x11, the eight maps they generate are the
-    symmetries of the square (x12 -> m - x12, x21 -> m - x21,
-    x12 <-> x21), so only one (x12, x21) per orbit is scanned: x12 <= x21
-    and 2 x21 <= m, a prefix of one triangle (_scanned_triples).  Each
-    triple's count is weighted by its orbit size, and each saturating cell
-    is returned with its images under the eight maps.
-
-    The arithmetic runs in int32.  Every quantity is bounded by a small
-    multiple of d^2: |q| <= 8 d, 0 <= K <= 8 d^2 and -d^2 <= d alpha <=
-    3 d^2 (alpha, a diagonal sum at t = 0, can be negative when 0 lies
-    outside the interval), so the discriminant q^2 - 16 (K - d alpha) has
-    |disc| <= 64 d^2 + 144 d^2 = 208 d^2, 12.0 million at
-    d = DENOMINATOR_CAP, far below 2^31.  Only the doubly stochastic
-    count, about 4.3e8 at the cap, is summed in int64.
-    """
-    import numpy as np
-    x11, x12, x21 = _scanned_triples(d, x11s)
-    m = d - x11
-    x13 = m - x12
-    x31 = m - x21
-    a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
-    lo = np.maximum(0, -c)
-    hi = np.minimum(a, b)
-    orbit_size = (1 + (2 * x12 != m)) * (1 + (2 * x21 != m)) * (1 + (x12 != x21))
-    ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum(dtype=np.int64))
-    k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
-         + a * a + b * b + c * c)
-    # diagonals x11 x22 x33, x11 x23 x32, x12 x21 x33, x12 x23 x31,
-    # x13 x21 x32, x13 x22 x31 as alpha + beta t
-    diagonals = ((x11 + c, 2), (x11 + a + b, -2), (x12 + x21 + c, 1),
-                 (x12 + x31 + a, -1), (x13 + x21 + b, -1), (x13 + x31, 1))
-    linear = 2 * (c - a - b)
-    rows, roots = [], []
-    for alpha, beta in diagonals:
-        # 4 t^2 + q t + (k - d alpha) = 0
-        q = linear - d * beta
-        disc = q * q - 16 * (k - d * alpha)
-        # disc < 2^53, so the float root of a perfect square is exact
-        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int32)
-        idx = np.flatnonzero(root * root == disc)
-        root, q = root[idx], q[idx]
-        for num in (root - q, -root - q):
-            t = num // 8
-            hit = (num % 8 == 0) & (lo[idx] <= t) & (t <= hi[idx])
-            rows.append(idx[hit])
-            roots.append(t[hit])
-    rows = np.concatenate(rows)
-    t = np.concatenate(roots)
-    frob = k[rows] + linear[rows] * t + 4 * t * t
-    best = np.maximum.reduce([alpha[rows] + beta * t for alpha, beta in diagonals])
-    sat = frob == d * best
-    rows, t = rows[sat], t[sat]
-    x11, m = x11[rows], m[rows]
-    # the swaps of the last two columns and rows, alone and together, of
-    # (x11, p, q, t) and of its transpose
-    images = []
-    for p, q in ((x12[rows], x21[rows]), (x21[rows], x12[rows])):
-        images += [(p, q, t), (m - p, q, d - q - t), (p, m - q, d - p - t),
-                   (m - p, m - q, p + q + t - m)]
-    cells = np.concatenate([np.stack([x11, p, q, u], axis=1) for p, q, u in images])
-    return ds_count, [tuple(cell) for cell in cells.tolist()]
-
-
 def enumerate_grid(denominator, zero_cell=None, threads=None):
     """Census of all 3 x 3 doubly stochastic matrices with entries in
     (1/denominator) * Z; classifies every saturating one.
 
-    zero_cell, if given as (i, j), restricts the census to matrices whose
-    (i, j) entry is 0.  Swapping rows 0 <-> i and columns 0 <-> j maps the
-    doubly stochastic grid points with a zero at (0, 0) one-to-one onto
-    those with a zero at (i, j) and keeps the Frobenius norm and the set of
-    diagonal sums, hence saturation: that census is the x11 = 0 slice,
-    mapped.  threads, if given, must be an integer of at least 1 and is
-    otherwise unused; it is kept because the benchmark harness passes it.
-
-    total_candidates is the size (d+1)^4 of the grid the census covers,
-    not the number of points scanned: the kernel scans one (x12, x21) per
-    orbit of the eight symmetries that fix x11, about 1/8 of the
-    (x11, x12, x21) triples, and solves for the saturating points of each
-    instead of visiting every x22.
+    The saturating ones are the orbit members tabulated in
+    `saturation` whose denominator divides d, scaled to d and listed in
+    row-major order of their cells over d.  zero_cell, if given as (i, j),
+    restricts the census to matrices whose (i, j) entry is 0.  ds_count is
+    the Ehrhart polynomial of the Birkhoff polytope B_3, MacMahon's
+    C(d+4,4) + C(d+3,4) + C(d+2,4), or with a zero cell C(d+3,3): the
+    facet x_ij = 0 is a unimodular tetrahedron.  total_candidates is the
+    size (d+1)^4 of the grid the census covers: a 3 x 3 doubly stochastic
+    matrix is fixed by its leading 2 x 2 block.  threads, if given, must
+    be an integer of at least 1 and is otherwise unused; it is kept because
+    the benchmark harness passes it.  A denominator above DENOMINATOR_CAP
+    raises DenominatorTooLarge: up to the cap, the lookup is checked in the
+    tests against an exhaustive scan of the grid.
     """
     d = _integer(denominator, "the denominator", 1)
     if d > DENOMINATOR_CAP:
@@ -244,25 +129,13 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
             raise DomainError(f"zero_cell out of range: {(i, j)}")
     if threads is not None:
         _integer(threads, "threads", 1)
-    # x11 slices per numpy pass.  A pass holds all its int64 arrays at once,
-    # so to bound peak memory it is kept to about 8 * 61^2 triples (a slice
-    # scans about (d + 1 - x11)^2 / 8): the whole d = 60 census is one pass,
-    # and passes shrink as (d + 1)^2 grows, to 4 slices at d = 240.
-    step = max(1, 64 * 61 ** 2 // (d + 1) ** 2)
-    blocks = [range(1)] if zero_cell is not None else [
-        range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
-    passes = [_census_block(d, b) for b in blocks]
-    ds_count = sum(c for c, _ in passes)
-    # a point can be a root at more than one diagonal, and the image of a
-    # cell under more than one of the eight maps
-    grids = [[[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
-              [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
-             for x11, x12, x21, x22 in {c for _, found in passes for c in found}]
-    if zero_cell is not None:
-        r, c = [i, 1, 2], [j, 1, 2]
-        r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
-        grids = [[[g[a][b] for b in c] for a in r] for g in grids]
-    # row-major order of the rows is the order of (x11, x12, x21, x22)
+    grids = [[[x * (d // den) for x in cells[r:r + 3]] for r in (0, 3, 6)]
+             for den, *cells in _ORBITS
+             if d % den == 0 and (zero_cell is None or cells[3 * i + j] == 0)]
+    if zero_cell is None:
+        ds_count = math.comb(d + 4, 4) + math.comb(d + 3, 4) + math.comb(d + 2, 4)
+    else:
+        ds_count = math.comb(d + 3, 3)
     found = [DoublyStochastic.of_grid(g, d) for g in sorted(grids)]
     return EnumerationReport(d, (d + 1) ** 4, ds_count,
                              tuple((m, classify3(m)) for m in found))

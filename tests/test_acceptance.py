@@ -49,6 +49,7 @@ from dstoch import (
 )
 from dstoch.cli import main
 from test_diagsum import permanent_naive
+from test_explore import _scan_census
 
 GRID_40 = [F(k, 40) for k in range(-48, 49)]
 
@@ -115,6 +116,9 @@ def test_criterion_2_product_counterexamples():
 def test_criterion_3_grid_census_completeness():
     with criterion(3, "1/60 census equals the six orbits"):
         report = enumerate_grid(60)
+        # the census is a lookup of the orbits; the exhaustive scan is the
+        # independent evidence that the 1/60 grid holds nothing else
+        assert report == _scan_census(60, None)
         assert report.total_candidates == 61 ** 4
         found = {m for m, _ in report.saturating}
         assert found == _orbit_union()

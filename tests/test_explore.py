@@ -38,7 +38,7 @@ from dstoch import (
 )
 from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
                             PROBE_CAP, _frob_sq, _pairwise_sum,
-                            _scanned_triples, _sinkhorn_numpy)
+                            _sinkhorn_numpy)
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -173,6 +173,149 @@ def _reference_census(d, zero_cell):
              F(x11 + x12 + x21 + x22 - d, d)]])
         saturating.append((m, classify3(m)))
     return EnumerationReport(d, (d + 1) ** 4, ds_count, tuple(saturating))
+
+
+def _scanned_triples(d, x11s):
+    """The (x11, x12, x21) triples the census scans in the x11 slices of
+    x11s, as three int32 arrays: per slice, x12 <= x21 and 2 x21 <= m with
+    m = d - x11.
+
+    Ordered by x21, then x12, the pairs x12 <= x21 form one triangle, and
+    a slice scans its prefix x21 <= h = m // 2, of length
+    (h + 1) (h + 2) / 2.  So each slice's pairs are read off the largest
+    slice's triangle by position, without a mask over the square.
+    """
+    import numpy as np
+    x11s = np.asarray(x11s, dtype=np.int32)
+    h = (d - x11s) // 2
+    sizes = (h + 1) * (h + 2) // 2
+    top = int(h.max())
+    # the triangle: x21 = j holds the x12 = 0..j, from position j (j + 1) / 2
+    x21 = np.repeat(np.arange(top + 1, dtype=np.int32), np.arange(1, top + 2))
+    x12 = np.arange(len(x21), dtype=np.int32) - x21 * (x21 + 1) // 2
+    # position of each scanned pair in its slice's prefix
+    pos = (np.arange(int(sizes.sum()), dtype=np.int32)
+           - np.repeat(np.cumsum(sizes, dtype=np.int32) - sizes, sizes))
+    return np.repeat(x11s, sizes), x12[pos], x21[pos]
+
+
+def _census_block(d, x11s):
+    """Census of the x11 slices in x11s; returns (ds_count, saturating cells).
+
+    With (x11, x12, x21) fixed and t = x22 free, the sums force
+    x13 = d - x11 - x12 and x31 = d - x11 - x21, and x23 = a - t,
+    x32 = b - t, x33 = c + t with a = d - x21, b = d - x12 and
+    c = x11 + x12 + x21 - d.  The doubly stochastic t form the interval
+    [max(0, -c), min(a, b)].  In integer units d^2 ||A||^2 =
+    K + 2 (c - a - b) t + 4 t^2 and each diagonal sum is alpha + beta t, so
+    saturation at a diagonal is an integer quadratic in t.  Its integer
+    roots inside the interval are the only candidates; each is re-checked
+    exactly against the maximal diagonal.
+
+    The transpose and the swaps of the last two rows and of the last two
+    columns fix x11 and map the grid's doubly stochastic points one-to-one
+    onto themselves, keeping the Frobenius norm and the multiset of
+    diagonal sums, hence saturation.  On the square [0, m]^2 of
+    (x12, x21), with m = d - x11, the eight maps they generate are the
+    symmetries of the square (x12 -> m - x12, x21 -> m - x21,
+    x12 <-> x21), so only one (x12, x21) per orbit is scanned: x12 <= x21
+    and 2 x21 <= m, a prefix of one triangle (_scanned_triples).  Each
+    triple's count is weighted by its orbit size, and each saturating cell
+    is returned with its images under the eight maps.
+
+    The arithmetic runs in int32.  Every quantity is bounded by a small
+    multiple of d^2: |q| <= 8 d, 0 <= K <= 8 d^2 and -d^2 <= d alpha <=
+    3 d^2 (alpha, a diagonal sum at t = 0, can be negative when 0 lies
+    outside the interval), so the discriminant q^2 - 16 (K - d alpha) has
+    |disc| <= 64 d^2 + 144 d^2 = 208 d^2, 12.0 million at
+    d = DENOMINATOR_CAP, far below 2^31.  Only the doubly stochastic
+    count, about 4.3e8 at the cap, is summed in int64.
+    """
+    import numpy as np
+    x11, x12, x21 = _scanned_triples(d, x11s)
+    m = d - x11
+    x13 = m - x12
+    x31 = m - x21
+    a, b, c = d - x21, d - x12, x11 + x12 + x21 - d
+    lo = np.maximum(0, -c)
+    hi = np.minimum(a, b)
+    orbit_size = (1 + (2 * x12 != m)) * (1 + (2 * x21 != m)) * (1 + (x12 != x21))
+    ds_count = int((orbit_size * np.maximum(hi - lo + 1, 0)).sum(dtype=np.int64))
+    k = (x11 * x11 + x12 * x12 + x13 * x13 + x21 * x21 + x31 * x31
+         + a * a + b * b + c * c)
+    # diagonals x11 x22 x33, x11 x23 x32, x12 x21 x33, x12 x23 x31,
+    # x13 x21 x32, x13 x22 x31 as alpha + beta t
+    diagonals = ((x11 + c, 2), (x11 + a + b, -2), (x12 + x21 + c, 1),
+                 (x12 + x31 + a, -1), (x13 + x21 + b, -1), (x13 + x31, 1))
+    linear = 2 * (c - a - b)
+    rows, roots = [], []
+    for alpha, beta in diagonals:
+        # 4 t^2 + q t + (k - d alpha) = 0
+        q = linear - d * beta
+        disc = q * q - 16 * (k - d * alpha)
+        # disc < 2^53, so the float root of a perfect square is exact
+        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int32)
+        idx = np.flatnonzero(root * root == disc)
+        root, q = root[idx], q[idx]
+        for num in (root - q, -root - q):
+            t = num // 8
+            hit = (num % 8 == 0) & (lo[idx] <= t) & (t <= hi[idx])
+            rows.append(idx[hit])
+            roots.append(t[hit])
+    rows = np.concatenate(rows)
+    t = np.concatenate(roots)
+    frob = k[rows] + linear[rows] * t + 4 * t * t
+    best = np.maximum.reduce([alpha[rows] + beta * t for alpha, beta in diagonals])
+    sat = frob == d * best
+    rows, t = rows[sat], t[sat]
+    x11, m = x11[rows], m[rows]
+    # the swaps of the last two columns and rows, alone and together, of
+    # (x11, p, q, t) and of its transpose
+    images = []
+    for p, q in ((x12[rows], x21[rows]), (x21[rows], x12[rows])):
+        images += [(p, q, t), (m - p, q, d - q - t), (p, m - q, d - p - t),
+                   (m - p, m - q, p + q + t - m)]
+    cells = np.concatenate([np.stack([x11, p, q, u], axis=1) for p, q, u in images])
+    return ds_count, [tuple(cell) for cell in cells.tolist()]
+
+
+def _scan_census(d, zero_cell):
+    """The census by exhaustive scan, the oracle for enumerate_grid's lookup
+    of the orbit members: every x11 slice, O(d^3) integer-root work in all,
+    or the x11 = 0 slice mapped onto the zero cell."""
+    if zero_cell is not None:
+        i, j = zero_cell
+    # x11 slices per numpy pass.  A pass holds all its int64 arrays at once,
+    # so to bound peak memory it is kept to about 8 * 61^2 triples (a slice
+    # scans about (d + 1 - x11)^2 / 8): the whole d = 60 census is one pass,
+    # and passes shrink as (d + 1)^2 grows, to 4 slices at d = 240.
+    step = max(1, 64 * 61 ** 2 // (d + 1) ** 2)
+    blocks = [range(1)] if zero_cell is not None else [
+        range(lo, min(lo + step, d + 1)) for lo in range(0, d + 1, step)]
+    passes = [_census_block(d, b) for b in blocks]
+    ds_count = sum(c for c, _ in passes)
+    # a point can be a root at more than one diagonal, and the image of a
+    # cell under more than one of the eight maps
+    grids = [[[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
+              [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
+             for x11, x12, x21, x22 in {c for _, found in passes for c in found}]
+    if zero_cell is not None:
+        r, c = [i, 1, 2], [j, 1, 2]
+        r[i] = c[j] = 0  # row order with 0 <-> i, column order with 0 <-> j
+        grids = [[[g[a][b] for b in c] for a in r] for g in grids]
+    # row-major order of the rows is the order of (x11, x12, x21, x22)
+    found = [DoublyStochastic.of_grid(g, d) for g in sorted(grids)]
+    return EnumerationReport(d, (d + 1) ** 4, ds_count,
+                             tuple((m, classify3(m)) for m in found))
+
+
+def test_enumerate_lookup_matches_the_scan():
+    cases = [(d, None) for d in (*range(1, 61), 120, 240)]
+    cases += [(d, zero_cell) for d in range(1, 25) for zero_cell in ZERO_CELLS[1:]]
+    assert len(cases) == 278
+    for d, zero_cell in cases:
+        assert enumerate_grid(d, zero_cell=zero_cell) == _scan_census(d, zero_cell), \
+            (d, zero_cell)
 
 
 @pytest.mark.parametrize("zero_cell", ZERO_CELLS)

@@ -82,6 +82,7 @@ def _exact_argvs(tmp_path):
         ["boundary", "--min", "-1", "--max", "1", "--step", "0.5"],
         ["canonical", "--name", "S"],
         ["canonical", "--name", "Tn:5"],
+        ["enumerate", "--denominator", "240", "--zero-cell", "1,2"],
         ["construct", "--u", "0", "--v", "-3/5", "--sign", "minus"],
         ["construct", "--u", "0", "--v", "-21/20", "--sign", "minus"],
         ["products", "--n", "5", "--samples", "3", "--seed", "4"],
@@ -107,11 +108,10 @@ def test_probe_and_enumerate_load_numpy_on_demand(tmp_path):
     path.write_text(write_matrix(random_ds(12, 5, seed=19)))
     perm = _run([["permanent", str(path)]], False)
     assert perm["loaded"]["numpy"] and [code for _, code in perm["runs"]] == [0]
-    # every census runs its numpy passes in the calling thread: one pass at
-    # d = 60, many at d = 122 and at the cap
+    # the census is a lookup of the orbit members: no numpy at any d
     for d in ("60", "122", "240"):
         census = _run([["enumerate", "--denominator", d]], False)
-        assert census["loaded"] == {"numpy": True, "concurrent.futures": False}, d
+        assert census["loaded"] == {"numpy": False, "concurrent.futures": False}, d
         assert [code for _, code in census["runs"]] == [0], d
 
 
