@@ -5,7 +5,7 @@ The paper classifies the 3 x 3 saturators: they are exactly the (P, Q)
 permutation orbits of six canonical forms, 49 matrices in all.  So the
 census is a lookup of that classification, not a search.  The saturating
 points of the 1/d grid are the orbit members whose denominator divides
-d, each classified with its form and witness.  The doubly stochastic
+d, each stored with its form and witness.  The doubly stochastic
 count is the Ehrhart polynomial of the Birkhoff polytope,
 C(d+4,4) + C(d+3,4) + C(d+2,4) (MacMahon).  The evidence that nothing
 else saturates is the exhaustive scan in tests/test_explore.py, which

@@ -5,7 +5,7 @@ Four harnesses:
   * enumerate_grid: census of every 3 x 3 doubly stochastic matrix with
     entries in (1/d) * Z, and of the saturating ones among them.  The
     paper classifies the order-3 saturators as the orbits of six forms,
-    so the saturating points are a lookup in saturation's orbit table and
+    so the saturating points are saturation's stored orbit records and
     the doubly stochastic count is the Ehrhart polynomial of B_3.
 
   * block_product_probe / search_products: products A @ B of two matrices
@@ -39,6 +39,7 @@ import collections
 import functools
 import itertools
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
                      Permutation, SplitMix64, _integer, block_j_form,
                      perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
-from .saturation import _ORBITS, CANONICAL_TAGS, canonical, classify3
+from .saturation import _ORBITS, CANONICAL_TAGS, canonical
 
 DENOMINATOR_CAP = 240  # largest d; the census matched an exhaustive scan up to it
 ASYMMETRY_CAP = 8
@@ -103,8 +104,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     """Census of all 3 x 3 doubly stochastic matrices with entries in
     (1/denominator) * Z; classifies every saturating one.
 
-    The saturating ones are the orbit members tabulated in
-    `saturation` whose denominator divides d, scaled to d and listed in
+    The saturating ones are the (member, Classification) pairs stored in
+    `saturation`'s orbit table whose member's denominator divides d, in
     row-major order of their cells over d.  zero_cell, if given as (i, j),
     restricts the census to matrices whose (i, j) entry is 0.  ds_count is
     the Ehrhart polynomial of the Birkhoff polytope B_3, MacMahon's
@@ -129,16 +130,14 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
             raise DomainError(f"zero_cell out of range: {(i, j)}")
     if threads is not None:
         _integer(threads, "threads", 1)
-    grids = [[[x * (d // den) for x in cells[r:r + 3]] for r in (0, 3, 6)]
-             for den, *cells in _ORBITS
-             if d % den == 0 and (zero_cell is None or cells[3 * i + j] == 0)]
+    found = [(m, c) for m, c in _ORBITS.values()
+             if d % m.den == 0 and (zero_cell is None or m.grid[i][j] == 0)]
+    found.sort(key=lambda hit: [x * (d // hit[0].den) for row in hit[0].grid for x in row])
     if zero_cell is None:
         ds_count = math.comb(d + 4, 4) + math.comb(d + 3, 4) + math.comb(d + 2, 4)
     else:
         ds_count = math.comb(d + 3, 3)
-    found = [DoublyStochastic.of_grid(g, d) for g in sorted(grids)]
-    return EnumerationReport(d, (d + 1) ** 4, ds_count,
-                             tuple((m, classify3(m)) for m in found))
+    return EnumerationReport(d, (d + 1) ** 4, ds_count, tuple(found))
 
 
 # ── block-J products ──────────────────────────────────────────────────────
@@ -291,16 +290,26 @@ def _frob_sq(rows):
     return _pairwise_sum([v * v for row in rows for v in row])
 
 
+def _tolerance(tol):
+    """tol if it is a real number, finite and >= 0: no convergent is within
+    a negative or NaN tolerance.  Anything else raises DomainError."""
+    if isinstance(tol, numbers.Real) and 0 <= tol < math.inf:
+        return tol
+    raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def snap_rational(x, max_den=10 ** 6, tol=1e-7):
     """The first continued-fraction convergent of the float x within tol of
     it, or None if the convergents' denominators pass max_den first or x
-    is not finite.
+    is not finite.  max_den must be an integer >= 1 and tol a finite
+    number >= 0, or DomainError is raised.
 
     This is not always the smallest-denominator rational within tol: an
     intermediate fraction between two convergents can get there sooner.
     For x = 0.0640314382269973 and tol = 0.0301 it returns 1/15, though
     1/11 is within tol.
     """
+    max_den, tol = _integer(max_den, "max_den", 1), _tolerance(tol)
     x = float(x)
     if not math.isfinite(x):
         return None
@@ -326,7 +335,8 @@ def reconstruct_matrix(x, tol=1e-7):
     (denominators up to its default 10^6, within tol), then force the last
     column and row from the sum constraints.  None if an entry is not
     finite, an entry refuses to snap or a forced entry comes out
-    negative."""
+    negative.  A tol that is not a finite number >= 0 raises DomainError."""
+    _tolerance(tol)
     x = [[float(v) for v in row] for row in x]
     if not all(math.isfinite(v) for row in x for v in row):
         return None

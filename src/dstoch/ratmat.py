@@ -21,7 +21,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import gcd, lcm
 from operator import mul
 
@@ -178,11 +178,11 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, n):
-        return _perm(range(n))
+        return _perm(range(_integer(n, "the order", 0)))
 
     @classmethod
     def random(cls, n, rng):
-        items = list(range(n))
+        items = list(range(_integer(n, "the order", 0)))
         rng.shuffle(items)
         return _perm(items)
 
@@ -209,10 +209,8 @@ def _perm(image):
 
 
 def all_permutations(n):
-    """Yield every Permutation of order n in lexicographic order."""
-    from itertools import permutations
-    for image in permutations(range(n)):
-        yield _perm(image)
+    """An iterator over every Permutation of order n in lexicographic order."""
+    return map(_perm, permutations(range(_integer(n, "the order", 0))))
 
 
 # ── matrices ──────────────────────────────────────────────────────────────

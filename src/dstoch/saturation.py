@@ -13,13 +13,13 @@ of six canonical representatives:
   T        zero diagonal, 1/2 elsewhere
   R        [[3/5,0,2/5],[0,3/5,2/5],[2/5,2/5,1/5]]
 
-Their orbits hold 49 matrices, tabulated at import by integer grid
-(`RatMatrix.grid` over `RatMatrix.den`) with each member's tag and
-lex-smallest witness (P, Q), P a Q equal to the representative: the
-classifier decides by one lookup, cross-checked in the tests by
-`permutation_equivalent`, the gap (`diagsum`) and the weak form
-(`weakform`).  Non-saturating matrices get the lex-smallest maximal
-diagonal from the assignment solver.
+Their orbits hold 49 matrices, built once at import and tabulated by
+integer grid (`RatMatrix.grid` over `RatMatrix.den`) beside their
+Classification: tag and lex-smallest witness (P, Q), P a Q equal to the
+representative.  The classifier and the census (`explore`) hand back these
+records, cross-checked in the tests by `permutation_equivalent`, the gap
+(`diagsum`) and the weak form (`weakform`).  Non-saturating matrices get
+the lex-smallest maximal diagonal from the assignment solver.
 """
 
 import collections
@@ -69,17 +69,19 @@ _CANONICALS = {tag: DoublyStochastic(rows) for tag, rows in _CANONICAL_ROWS.item
 
 
 def _orbit_table():
-    """(den, nine numerators) of each orbit member m -> (tag, (P, Q)), the
-    lex-first pair with P m Q == rep, i.e. m[i][k] == rep[p^-1(i)][q(k)]."""
+    """(den, nine numerators) of each orbit member m -> (m, its Classification),
+    witness the lex-first (P, Q) with P m Q == rep: m[i][k] == rep[p^-1(i)][q(k)]."""
     perms = list(all_permutations(3))
     table = {}
     for tag, rep in _CANONICALS.items():
-        grid, den = rep.grid, rep.den
         for p in perms:
-            rows = [grid[r] for r in p.inverse()]
+            rows = [rep.grid[r] for r in p.inverse()]
             for q in perms:
-                key = (den, *(row[c] for row in rows for c in q))
-                table.setdefault(key, (tag, (p, q)))
+                grid = [[row[c] for c in q] for row in rows]
+                key = (rep.den, *itertools.chain(*grid))
+                if key not in table:
+                    table[key] = (DoublyStochastic.of_grid(grid, rep.den),
+                                  Classification(True, tag, (p, q)))
     return table
 
 
@@ -142,7 +144,7 @@ def classify2(a):
 def classify3(a):
     """Exact order-3 saturation decision with certificates.
 
-    Orbit members get their tag and (P, Q) witness by table lookup; other
+    Orbit members get the table's stored record (tag, (P, Q) witness); other
     input gets a separator, a permutation whose diagonal sum strictly
     exceeds the Frobenius norm squared.  Non-doubly-stochastic input is
     refused (validate_ds raises), since a separator certifies nothing there.
@@ -152,5 +154,5 @@ def classify3(a):
     a = validate_ds(a)
     hit = _ORBITS.get((a.den, *a.grid[0], *a.grid[1], *a.grid[2]))
     if hit is not None:
-        return Classification(True, form=hit[0], witness=hit[1])
+        return hit[1]
     return Classification(False, separator=diagsum.max_trace_assignment(a).argmax)

@@ -345,8 +345,8 @@ def _order3_rows(a):
     their common denominator den, or the exact rows that params_to_matrix
     builds at an irrational root, with den = 1."""
     rows, den = (a.grid, a.den) if isinstance(a, RatMatrix) else (a, 1)
-    if len(rows) != 3:
-        raise DomainError(f"need order 3, got {len(rows)}")
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise DomainError(f"need order 3, got rows of lengths {[len(row) for row in rows]}")
     return rows, den
 
 

@@ -36,6 +36,7 @@ from dstoch import (
     snap_rational,
     validate_ds,
 )
+from dstoch import ratmat, saturation
 from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
                             PROBE_CAP, _frob_sq, _pairwise_sum,
                             _sinkhorn_numpy)
@@ -318,6 +319,19 @@ def test_enumerate_lookup_matches_the_scan():
             (d, zero_cell)
 
 
+def test_enumerate_hands_back_the_stored_records(monkeypatch):
+    # the oracle itself builds and classifies, so it runs first
+    expected = {zero_cell: _scan_census(60, zero_cell) for zero_cell in (None, (2, 1))}
+
+    def refuse(*args):
+        raise AssertionError("enumerate_grid built or classified a matrix")
+
+    monkeypatch.setattr(saturation, "classify3", refuse)
+    monkeypatch.setattr(ratmat.DoublyStochastic, "of_grid", refuse)
+    for zero_cell, report in expected.items():
+        assert enumerate_grid(60, zero_cell=zero_cell) == report, zero_cell
+
+
 @pytest.mark.parametrize("zero_cell", ZERO_CELLS)
 def test_enumerate_matches_full_grid_sweep(zero_cell):
     for d in range(1, 13):
@@ -480,7 +494,8 @@ def test_enumerate_reports_carry_their_scaled_grid():
 def test_enumerate_ds_count_matches_macmahon():
     # MacMahon: the 3 x 3 nonnegative integer matrices with every row and
     # column summing to d number C(d+4,4) + C(d+3,4) + C(d+2,4)
-    # d > 60 splits the census into several passes
+    # above d = 60 the scan oracle runs only at 120 and 240, so the larger
+    # d here are checked against the closed form alone
     for d in (1, 2, 3, 5, 7, 11, 16, 29, 47, 60, 61, 122, 239, 240):
         expected = comb(d + 4, 4) + comb(d + 3, 4) + comb(d + 2, 4)
         assert enumerate_grid(d).ds_count == expected
@@ -498,7 +513,7 @@ def test_enumerate_d120_is_the_orbit_union():
 
 
 def test_enumerate_d240_is_the_orbit_union():
-    # the cap; 4 x11 slices per pass bound the census's peak memory
+    # d = DENOMINATOR_CAP, the largest denominator the census takes
     report = enumerate_grid(240)
     assert report.ds_count == 425_196_541
     assert {m for m, _ in report.saturating} == _orbit_union()

@@ -21,6 +21,7 @@ from dstoch import (
     Permutation,
     RatMatrix,
     SplitMix64,
+    all_permutations,
     block_j_form,
     block_product_probe,
     boundary_curves,
@@ -46,7 +47,9 @@ from dstoch import (
     reconstruct_matrix,
     search_products,
     sinkhorn,
+    snap_rational,
     solve_w,
+    trace_dominant,
     weak_residual,
     weak_saturation_check,
 )
@@ -59,6 +62,12 @@ HALF = F(1, 2)
 
 @pytest.mark.parametrize("call, word", [
     pytest.param(lambda: Permutation([1.0, 0]), "permutation entry", id="permutation"),
+    pytest.param(lambda: Permutation.identity(True), "order", id="identity-bool"),
+    pytest.param(lambda: Permutation.identity(-1), "order", id="identity-negative"),
+    pytest.param(lambda: Permutation.random(-2, SplitMix64(0)), "order", id="random-negative"),
+    pytest.param(lambda: Permutation.random(2.0, SplitMix64(0)), "order", id="random-float"),
+    pytest.param(lambda: all_permutations(True), "order", id="all_permutations-bool"),
+    pytest.param(lambda: all_permutations(-1), "order", id="all_permutations-negative"),
     pytest.param(lambda: RatMatrix([[True, 0], [0, 1]]), "matrix entry", id="entry"),
     pytest.param(lambda: make_jn(True), "J_n", id="make_jn-bool"),
     pytest.param(lambda: make_jn(0), "J_n", id="make_jn-zero"),
@@ -85,6 +94,9 @@ HALF = F(1, 2)
     pytest.param(lambda: rationality_probe(3, -1, 0), "samples", id="probe-samples"),
     pytest.param(lambda: rationality_probe(3, 1, "7"), "seed", id="probe-seed"),
     pytest.param(lambda: in_ellipse(1.0, 0, 0), "ellipse index", id="ellipse-index"),
+    pytest.param(lambda: snap_rational(0.5, max_den="5"), "max_den", id="snap-max_den-str"),
+    pytest.param(lambda: snap_rational(0.5, max_den=True), "max_den", id="snap-max_den-bool"),
+    pytest.param(lambda: snap_rational(0.5, max_den=0), "max_den", id="snap-max_den-zero"),
 ])
 def test_every_integer_argument_is_refused_by_one_rule(call, word):
     with pytest.raises(DomainError, match="must be one of the integers") as exc:
@@ -154,6 +166,15 @@ def _spec(parts):
                  id="search_products-cap"),
     pytest.param(lambda: sinkhorn([[1.0, 2.0]]), DomainError, "square",
                  id="sinkhorn-not-square"),
+    pytest.param(lambda: snap_rational(0.5, tol=-1), DomainError, "tol",
+                 id="snap-tol-negative"),
+    pytest.param(lambda: snap_rational(0.5, tol=math.nan), DomainError, "tol",
+                 id="snap-tol-nan"),
+    pytest.param(lambda: snap_rational(0.5, tol="0"), DomainError, "tol", id="snap-tol-str"),
+    pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=-1), DomainError,
+                 "tol", id="reconstruct-tol-negative"),
+    pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=math.nan),
+                 DomainError, "tol", id="reconstruct-tol-nan"),
     # ratmat
     pytest.param(lambda: parse_rational("1/0"), ParseError, "zero", id="parse-zero-den"),
     pytest.param(lambda: Permutation([1, 0]).compose(I3), DomainError, "size",
@@ -179,6 +200,14 @@ def _spec(parts):
                  id="boundary-step-negative"),
     pytest.param(lambda: weak_saturation_check([[F(1)]]), DomainError, "order",
                  id="weak_saturation-order"),
+    pytest.param(lambda: weak_saturation_check([[1], [2], [3]]), DomainError, "order",
+                 id="weak_saturation-column"),
+    pytest.param(lambda: weak_saturation_check([[1, 0, 0], [0, 1], [0, 0, 1]]), DomainError,
+                 "order", id="weak_saturation-ragged"),
+    pytest.param(lambda: trace_dominant([[1], [2], [3]]), DomainError, "order",
+                 id="trace_dominant-column"),
+    pytest.param(lambda: trace_dominant([[1, 0, 0], [0, 1, 0, 0], [0, 0, 1]]), DomainError,
+                 "order", id="trace_dominant-ragged"),
 ])
 def test_refusal_branches(call, error, word):
     with pytest.raises(error, match=word):

@@ -1,20 +1,26 @@
 """The benchmark's contract with the library: its trace hooks name
-functions that still exist, its worker's calls fit their signatures, and
-every `ds` command line it builds parses.
+functions that still exist, its worker's calls fit their signatures and
+its set-up probe runs, and every `ds` command line it builds parses.
 
 `perfbench/spans.py` wraps the dstoch functions listed in its TRACED table;
 a rename or removal there would make `perfbench/run.py --trace 1` fail.
 `perfbench/worker.py` calls the library directly, and `perfbench/gen.py`
 builds the argv of the cli workload.  Both Python files are read with
 `ast`, and `gen.py` (which imports no dstoch) is loaded by its path, so the
-benchmark directory is never put on the import path.
+benchmark directory is never put on the import path.  The worker's set-up
+probe runs in its own interpreter.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from dstoch import cli
 
@@ -98,3 +104,15 @@ def test_every_cli_workload_argv_parses():
             assert callable(args.handler), argv
             seen.add(op["kind"])
     assert seen == set(gen.CLI_ROTATION)
+
+
+@pytest.mark.parametrize("workload", ["order3", "large_n", "census"])
+def test_worker_probe_runs_each_op_kind(workload, tmp_path):
+    # the probe runs one op of each kind and serialises its output, so a
+    # renamed record field fails here rather than in a benchmark run
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                           "--probe", "--tmp", str(tmp_path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ready "), proc.stdout
