@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from dstoch import (boundary_csv, boundary_curves, classify3, in_disc_e0,
                     in_ellipse, in_u_minus, in_u_plus, params_to_matrix,
-                    rational_sqrt, solve_w, trace_dominant, weak_residual,
+                    solve_w, trace_dominant, weak_residual,
                     weak_saturation_check)
 
 print("Exact region membership")
@@ -51,10 +51,10 @@ for u, v, w in [(0, F(-3, 5), 0), (0, 1, 0), (0, 0, 0), (F(1, 2), 0, F(1, 8))]:
 
 print("\nDiscriminant arithmetic stays exact:")
 for u, v in [(0, F(-3, 5)), (0, F(-21, 20))]:
-    disc = solve_w(u, v, "minus").discriminant
-    root = rational_sqrt(disc)
-    print(f"  7-6u^2-6v^2 at ({u}, {v}) = {disc}, "
-          f"sqrt: {'irrational' if root is None else root}")
+    params = solve_w(u, v, "minus")
+    # an exact minus root is w = (1 - 2v - sqrt(disc)) / 8
+    root = 1 - 2 * v - 8 * params.w if params.exact else "irrational"
+    print(f"  7-6u^2-6v^2 at ({u}, {v}) = {params.discriminant}, sqrt: {root}")
 
 path = "boundary_curves.csv"
 with open(path, "w", encoding="utf-8") as handle:

@@ -19,7 +19,7 @@ _HOME = {name: module for module, names in (
                "OrderTooLarge ParseError Permutation RatMatrix RowSumMismatch "
                "SplitMix64 all_permutations block_j_form direct_sum make_jn "
                "make_tn parse_matrix parse_rational perm_matrix random_ds "
-               "read_matrix validate_ds write_matrix"),
+               "read_matrix validate_ds"),
     ("diagsum", "GapReport TraceReport diagonal_sum frobenius_sq "
                 "marcus_ree_gap max_diag_product max_trace_assignment "
                 "max_trace_brute permanent"),
@@ -28,8 +28,8 @@ _HOME = {name: module for module, names in (
     ("weakform", "NegativeDiscriminant NotDoublyStochastic WeakFormParams "
                  "ZeroCellMissing boundary_csv boundary_curves in_disc_e0 "
                  "in_ellipse in_u_minus in_u_plus matrix_to_params "
-                 "params_to_matrix rational_sqrt solve_w trace_dominant "
-                 "weak_residual weak_saturation_check"),
+                 "params_to_matrix solve_w trace_dominant weak_residual "
+                 "weak_saturation_check"),
     ("explore", "BlockSpec DenominatorTooLarge EnumerationReport "
                 "ProbeCandidate ProbeReport ProductProbe block_product_probe "
                 "check_asymmetry enumerate_grid rationality_probe "

@@ -264,19 +264,20 @@ def _build_parser():
 
 
 def _glue_rational_flags(argv):
-    """Join `--u -3/5` into `--u=-3/5` so argparse does not read negative
-    fractions as option flags."""
-    out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--u", "--v") and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(token)
+    """Join `--opt VALUE` into `--opt=VALUE` for every option that takes a
+    value, so that argparse reads no value as an option name: it would take
+    -1 and -.5 as numbers but -3/5, -1,0 and -1e-3 as names.  Only the flags
+    --csv and --help (or a prefix argparse reads as one) take no value, and
+    "--" ends the options."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        if token == "--":
+            return out + [token, *tokens]
+        if (token.startswith("--") and "=" not in token
+                and not any(flag.startswith(token) for flag in ("--csv", "--help"))):
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        out.append(token)
     return out
 
 

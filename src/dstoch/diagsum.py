@@ -36,7 +36,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .ratmat import DomainError, OrderTooLarge, Permutation, _perm
+from .ratmat import DomainError, OrderTooLarge, _as_permutation, _perm
 
 BRUTE_CAP = 10
 PERMANENT_CAP = 20
@@ -61,7 +61,7 @@ def frobenius_sq(a):
 
 def diagonal_sum(a, p):
     """sum_i a[i, p(i)] for a permutation p (or its image) of matching order."""
-    p = p if isinstance(p, Permutation) else Permutation(p)
+    p = _as_permutation(p)
     if len(p) != a.n:
         raise DomainError(f"permutation order {len(p)} != matrix order {a.n}")
     return Fraction(sum(a.grid[i][p(i)] for i in range(a.n)), a.den)

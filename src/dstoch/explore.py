@@ -44,8 +44,8 @@ import operator
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
-                     Permutation, SplitMix64, _integer, block_j_form,
-                     perm_matrix, validate_ds)
+                     Permutation, SplitMix64, _as_permutation, _integer,
+                     block_j_form, perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import _ORBITS, CANONICAL_TAGS, canonical
 
@@ -149,7 +149,7 @@ def block_product_probe(left, right):
         raise DomainError(
             f"order mismatch: {sum(left.parts)} vs {sum(right.parts)}")
     product = validate_ds(left.build() @ right.build())
-    chain = left.p.compose(left.q).compose(right.p).compose(right.q)
+    chain = _as_permutation(left.p).compose(left.q).compose(right.p).compose(right.q)
     trace_perm = chain.inverse()
     report = marcus_ree_gap(product)
     # tr(M P) for P = perm_matrix(trace_perm) is the diagonal sum of M at
@@ -335,12 +335,15 @@ def reconstruct_matrix(x, tol=1e-7):
     (denominators up to its default 10^6, within tol), then force the last
     column and row from the sum constraints.  None if an entry is not
     finite, an entry refuses to snap or a forced entry comes out
-    negative.  A tol that is not a finite number >= 0 raises DomainError."""
+    negative.  An empty or non-square x, or a tol that is not a finite
+    number >= 0, raises DomainError."""
     _tolerance(tol)
     x = [[float(v) for v in row] for row in x]
+    n = len(x)
+    if not n or any(len(row) != n for row in x):
+        raise DomainError("reconstruct_matrix needs a non-empty square matrix")
     if not all(math.isfinite(v) for row in x for v in row):
         return None
-    n = len(x)
     rows = []
     for i in range(n - 1):
         row = [snap_rational(cell, tol=tol) for cell in x[i][:n - 1]]

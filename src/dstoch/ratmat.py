@@ -8,7 +8,9 @@ sums to exactly 1; validation checks both on that integer grid, exactly.
 
 Every integer argument (an order, count, seed, block size or index, or a
 matrix entry that is not a Fraction) must pass `_integer`: a non-bool
-integer, numpy's included; anything else raises DomainError.  Every exact
+integer, numpy's included; anything else raises DomainError.  Every
+permutation argument, a Permutation or its image, passes `_as_permutation`:
+an image that is not a bijection of 0..n-1 raises DomainError.  Every exact
 number read from text, a matrix entry or a `ds` argument, follows one
 grammar (`_parse_ratio`); anything else raises ParseError.
 
@@ -191,6 +193,7 @@ class Permutation(tuple):
 
     def compose(self, other):
         """Apply self, then other (matrix product order)."""
+        other = _as_permutation(other)
         if len(self) != len(other):
             raise DomainError("size mismatch in composition")
         return _perm(other[i] for i in self)
@@ -206,6 +209,11 @@ def _perm(image):
     """The Permutation of an image that is a bijection by construction,
     without the check."""
     return tuple.__new__(Permutation, image)
+
+
+def _as_permutation(p):
+    """Every public permutation argument: a Permutation as is, an image checked."""
+    return p if isinstance(p, Permutation) else Permutation(p)
 
 
 def all_permutations(n):
@@ -261,9 +269,10 @@ class RatMatrix:
     def of_grid(cls, grid, den):
         """The matrix with entries grid[i][j] / den, for integers and
         den >= 1, divided down to lowest terms."""
+        den = _integer(den, "the denominator", 1)
         grid = [list(map(operator.index, row)) for row in grid]
-        if den < 1 or any(len(row) != len(grid) for row in grid):
-            raise DomainError(f"matrix must be square, over a denominator >= 1 (got {den})")
+        if any(len(row) != len(grid) for row in grid):
+            raise DomainError("matrix must be square")
         c = gcd(den, *chain.from_iterable(grid))
         if c > 1:
             grid = [[x // c for x in row] for row in grid]
@@ -306,12 +315,6 @@ class RatMatrix:
         cols = list(zip(*other.grid))
         return RatMatrix.of_grid([[sum(map(mul, row, col)) for col in cols]
                                   for row in self.grid], self.den * other.den)
-
-    def transpose(self):
-        return RatMatrix.of_grid(zip(*self.grid), self.den)
-
-    def trace(self):
-        return Fraction(sum(row[i] for i, row in enumerate(self.grid)), self.den)
 
     def entries(self):
         """Iterate entries in row-major order."""
@@ -380,6 +383,7 @@ def make_tn(n):
 
 def perm_matrix(p):
     """The 0/1 matrix with entry (i, p(i)) = 1."""
+    p = _as_permutation(p)
     n = len(p)
     return DoublyStochastic.of_grid([[int(j == p(i)) for j in range(n)] for i in range(n)], 1)
 
@@ -399,6 +403,7 @@ def block_j_form(p, parts, q):
     P and Q act by (P M Q)[i, j] = M[p(i), q^{-1}(j)].  Parts must be
     positive integers and sum to the common order of p and q.
     """
+    p, q = _as_permutation(p), _as_permutation(q)
     parts = [_integer(k, "a block size", 1) for k in parts]
     n = sum(parts)
     if len(p) != n or len(q) != n:
@@ -442,15 +447,6 @@ def matrix_payload(m):
     """The JSON object of a matrix, entries as exact fraction strings."""
     text = {x: str(Fraction(x, m.den)) for x in set(chain.from_iterable(m.grid))}
     return {"n": m.n, "rows": [[text[x] for x in row] for row in m.grid]}
-
-
-def write_matrix(m):
-    """Serialize a matrix to the canonical JSON form.
-
-    Byte-stable: {"n":3,"rows":[["3/5","0","2/5"],...]} with entries as
-    exact fraction strings.  read_matrix(write_matrix(m)) == m exactly.
-    """
-    return json.dumps(matrix_payload(m), separators=(",", ":"))
 
 
 def parse_matrix(text):

@@ -145,13 +145,6 @@ def _q(x):
     return x if isinstance(x, (Fraction, _Surd)) else Fraction(*_ratio(x, _PARAMETER))
 
 
-def rational_sqrt(x):
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator)):
-        return Fraction(isqrt(x.numerator), isqrt(x.denominator))
-    return None
-
-
 def _grid(u, v):
     """(U, V, q): u = U/q and v = V/q over the lcm q of their denominators."""
     (a, b), (c, d) = _ratio(u, _PARAMETER), _ratio(v, _PARAMETER)
@@ -197,13 +190,12 @@ def in_disc_e0(u, v):
     return _EXCESS[0](*_grid(u, v)) <= 0
 
 
-def in_ellipse(k, u, v, strict_interior=False):
-    """Solid ellipse E1, E2, or E3 (k in {1, 2, 3}), exactly;
-    strict_interior tests the open interior (boundary excluded)."""
+def in_ellipse(k, u, v):
+    """Closed solid ellipse E1, E2, or E3 (k in {1, 2, 3}), exactly."""
     k, p = _integer(k, "the ellipse index"), _grid(u, v)
     if k not in (1, 2, 3):
         raise DomainError(f"ellipse index must be 1, 2, or 3, got {k!r}")
-    return _EXCESS[k](*p) < 0 if strict_interior else _EXCESS[k](*p) <= 0
+    return _EXCESS[k](*p) <= 0
 
 
 def in_u_minus(u, v):
@@ -308,7 +300,11 @@ def params_to_matrix(q):
     3 x 3 rows of its exact entries in Q(sqrt(disc)).  Raises
     NotDoublyStochastic naming the first negative entry.
     """
-    u, v, w = (q.u, q.v, q.w) if isinstance(q, WeakFormParams) else map(_q, q)
+    if not isinstance(q, WeakFormParams):
+        q = tuple(map(_q, q))
+        if len(q) != 3:
+            raise DomainError(f"need a (u, v, w) triple, got {len(q)} values")
+    u, v, w = q[:3]
     rows = _format_rows(u, v, w)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):

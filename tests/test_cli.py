@@ -11,9 +11,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstoch import (ParseError, RatMatrix, canonical, parse_matrix, random_ds,
-                    write_matrix)
+from dstoch import ParseError, RatMatrix, canonical, parse_matrix, random_ds
 from dstoch.cli import main
+from test_ratmat import write_matrix
 
 
 def run(capsys, *argv):
@@ -263,6 +263,19 @@ def test_enumerate_bad_zero_cell_exits_2(capsys, zero_cell):
                          "--zero-cell", zero_cell)
     assert code == 2 and out == ""
     assert err.startswith("ds: ") and err.count("\n") == 1
+
+
+def test_option_values_may_start_with_a_minus(capsys, r_file):
+    # argparse reads -1 and -.5 as numbers but -1,0 and -1e-3 as option names
+    assert run(capsys, "enumerate", "--denominator", "6", "--zero-cell", "-1,0") == (
+        1, "", "ds: zero_cell out of range: (-1, 0)\n")
+    code, out, err = run(capsys, "boundary", "--min", "-1e-3", "--max", "0")
+    assert (code, err) == (0, "") and json.loads(out)["rows"][0][0] == -0.001
+    for flag in ("--csv", "--cs"):
+        assert run(capsys, "boundary", flag, "--min", "-1e-3", "--max", "0")[1].startswith(
+            "u,f,g,h\n-0.001,")
+    # "--" still ends the options
+    assert run(capsys, "gap", "--", r_file) == run(capsys, "gap", r_file)
 
 
 def test_products_deterministic(capsys):

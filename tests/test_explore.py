@@ -810,7 +810,7 @@ def test_check_asymmetry_matches_double_scan():
             a = random_ds(n, rng.randint(1, 2 * n), seed=rng.next64())
             # (a + a^T) / 2 is symmetric and doubly stochastic; P and Q hide it
             sym = validate_ds(RatMatrix([[(x + y) / 2 for x, y in zip(r, c)]
-                                         for r, c in zip(a.rows, a.transpose().rows)]))
+                                         for r, c in zip(a.rows, zip(*a.rows))]))
             p = perm_matrix(Permutation.random(n, rng))
             q = perm_matrix(Permutation.random(n, rng))
             inputs += [a, validate_ds(p @ sym @ q)]
@@ -833,7 +833,7 @@ def test_check_asymmetry_at_order_8():
     for k in (3, 5):
         a = random_ds(n, k, seed=rng.next64())
         sym = validate_ds(RatMatrix([[(x + y) / 2 for x, y in zip(r, c)]
-                                     for r, c in zip(a.rows, a.transpose().rows)]))
+                                     for r, c in zip(a.rows, zip(*a.rows))]))
         p = perm_matrix(Permutation.random(n, rng))
         q = perm_matrix(Permutation.random(n, rng))
         assert not check_asymmetry(validate_ds(p @ sym @ q))
@@ -842,7 +842,7 @@ def test_check_asymmetry_at_order_8():
     # and P, Q keep both, so unequal ones certify asymmetry independently
     for k in (6, 8, 12):
         a = random_ds(n, k, seed=rng.next64())
-        assert _line_multisets(a.rows) != _line_multisets(a.transpose().rows)
+        assert _line_multisets(a.rows) != _line_multisets(zip(*a.rows))
         assert check_asymmetry(a)
     with pytest.raises(OrderTooLarge):
         check_asymmetry(make_jn(n + 1))

