@@ -9,9 +9,9 @@ family, and the block-J family that works in every order.
 
 from fractions import Fraction as F
 
-from dstoch import (CANONICAL_TAGS, RatMatrix, canonical, classify2,
-                    classify3, frobenius_sq, make_tn, marcus_ree_gap,
-                    max_trace_brute, validate_ds)
+from dstoch import (CANONICAL_TAGS, RatMatrix, canonical, classify3,
+                    frobenius_sq, make_tn, marcus_ree_gap, max_trace_brute,
+                    validate_ds)
 
 
 def show(m):
@@ -50,8 +50,8 @@ print(f"a row-rotated S classifies as {c.form} with witness P={c.witness[0]},"
 print("\nOrder 2: saturation happens exactly at t in {0, 1/2, 1}")
 for t in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
     m = validate_ds(RatMatrix([[t, 1 - t], [1 - t, t]]))
-    print(f"  t = {t}: saturated = {classify2(m)}, "
-          f"gap = {marcus_ree_gap(m).gap}")
+    report = marcus_ree_gap(m)
+    print(f"  t = {t}: saturated = {report.saturated}, gap = {report.gap}")
 
 print("\nThe zero-diagonal family works at every order: "
       "frob^2 = max_tr = n/(n-1)")

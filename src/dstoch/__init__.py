@@ -23,8 +23,8 @@ _HOME = {name: module for module, names in (
     ("diagsum", "GapReport TraceReport diagonal_sum frobenius_sq "
                 "marcus_ree_gap max_diag_product max_trace_assignment "
                 "max_trace_brute permanent"),
-    ("saturation", "CANONICAL_TAGS Classification canonical classify2 "
-                   "classify3 permutation_equivalent"),
+    ("saturation", "CANONICAL_TAGS Classification canonical classify3 "
+                   "permutation_equivalent"),
     ("weakform", "NegativeDiscriminant NotDoublyStochastic WeakFormParams "
                  "ZeroCellMissing boundary_csv boundary_curves in_disc_e0 "
                  "in_ellipse in_u_minus in_u_plus matrix_to_params "
@@ -33,7 +33,7 @@ _HOME = {name: module for module, names in (
     ("explore", "BlockSpec DenominatorTooLarge EnumerationReport "
                 "ProbeCandidate ProbeReport ProductProbe block_product_probe "
                 "check_asymmetry enumerate_grid rationality_probe "
-                "reconstruct_matrix search_products sinkhorn snap_rational"),
+                "reconstruct_matrix search_products sinkhorn"),
 ) for name in (module, *names.split())}
 
 __all__ = tuple(_HOME)

@@ -62,10 +62,10 @@ def cmd_maxprod(args):
 
 
 def cmd_classify(args):
-    from . import saturation
+    from . import diagsum, saturation
     m = validate_ds(read_matrix(args.matrix))
-    if m.n == 2:
-        _emit({"saturated": saturation.classify2(m)})
+    if m.n == 2:  # Marcus-Ree: saturated iff a11 is 0, 1/2 or 1
+        _emit({"saturated": diagsum.marcus_ree_gap(m).saturated})
         return
     if m.n != 3:
         raise DomainError(f"classify supports orders 2 and 3, got {m.n}")
@@ -130,7 +130,7 @@ def cmd_construct(args):
 
 def cmd_enumerate(args):
     from . import explore
-    cell = args.zero_cell.split(",") if args.zero_cell else None
+    cell = None if args.zero_cell is None else args.zero_cell.split(",")
     if cell is not None and len(cell) != 2:
         raise ParseError(f"--zero-cell expects two integers I,J, got {args.zero_cell!r}")
     report = explore.enumerate_grid(args.denominator,

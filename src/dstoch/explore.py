@@ -39,12 +39,11 @@ import collections
 import functools
 import itertools
 import math
-import numbers
 import operator
 from fractions import Fraction
 
 from .ratmat import (DomainError, DoublyStochastic, OrderTooLarge,
-                     Permutation, SplitMix64, _as_permutation, _integer,
+                     Permutation, SplitMix64, _as_permutation, _integer, _real,
                      block_j_form, perm_matrix, validate_ds)
 from .diagsum import diagonal_sum, marcus_ree_gap, max_trace_value
 from .saturation import _ORBITS, CANONICAL_TAGS, canonical
@@ -197,7 +196,7 @@ def sinkhorn(x):
 
     A negative or non-finite entry, a zero row or a zero column raises
     DomainError: no scaling balances such a matrix, and the passes would
-    end in NaN or in negative "probabilities".
+    end in NaN or in negative "probabilities".  So does a non-real entry.
 
     Only the rows need the test.  Each pass ends by dividing every column
     by its own sum, and with no cancellation among nonnegative entries the
@@ -221,7 +220,7 @@ def sinkhorn(x):
     plus 1e-9 noise) balances only slowly and runs all 10,000 passes;
     the probe's jittered samples are such matrices.
     """
-    rows = [[float(v) for v in row] for row in x]
+    rows = [[_real(v, "a Sinkhorn entry") for v in row] for row in x]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DomainError("Sinkhorn needs a square matrix")
@@ -290,29 +289,18 @@ def _frob_sq(rows):
     return _pairwise_sum([v * v for row in rows for v in row])
 
 
-def _tolerance(tol):
-    """tol if it is a real number, finite and >= 0: no convergent is within
-    a negative or NaN tolerance.  Anything else raises DomainError."""
-    if isinstance(tol, numbers.Real) and 0 <= tol < math.inf:
-        return tol
-    raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+_SNAP_MAX_DEN = 10 ** 6  # largest denominator reconstruct_matrix snaps to
 
 
-def snap_rational(x, max_den=10 ** 6, tol=1e-7):
-    """The first continued-fraction convergent of the float x within tol of
-    it, or None if the convergents' denominators pass max_den first or x
-    is not finite.  max_den must be an integer >= 1 and tol a finite
-    number >= 0, or DomainError is raised.
+def _snap(x, tol):
+    """The first continued-fraction convergent of the finite float x within
+    tol of it, or None if the denominators pass _SNAP_MAX_DEN first.
 
     This is not always the smallest-denominator rational within tol: an
     intermediate fraction between two convergents can get there sooner.
     For x = 0.0640314382269973 and tol = 0.0301 it returns 1/15, though
     1/11 is within tol.
     """
-    max_den, tol = _integer(max_den, "max_den", 1), _tolerance(tol)
-    x = float(x)
-    if not math.isfinite(x):
-        return None
     f = Fraction(x)
     num, den = f.numerator, f.denominator
     hm2, km2, hm1, km1 = 0, 1, 1, 0
@@ -320,7 +308,7 @@ def snap_rational(x, max_den=10 ** 6, tol=1e-7):
         a = num // den
         h = a * hm1 + hm2
         k = a * km1 + km2
-        if k > max_den:
+        if k > _SNAP_MAX_DEN:
             return None
         cand = Fraction(h, k)
         if abs(cand - f) <= tol:
@@ -331,14 +319,17 @@ def snap_rational(x, max_den=10 ** 6, tol=1e-7):
 
 def reconstruct_matrix(x, tol=1e-7):
     """Round a near-balanced float matrix to an exactly doubly stochastic
-    rational one: snap the leading (n-1) x (n-1) block with snap_rational
-    (denominators up to its default 10^6, within tol), then force the last
-    column and row from the sum constraints.  None if an entry is not
-    finite, an entry refuses to snap or a forced entry comes out
-    negative.  An empty or non-square x, or a tol that is not a finite
-    number >= 0, raises DomainError."""
-    _tolerance(tol)
-    x = [[float(v) for v in row] for row in x]
+    rational one: snap each cell of the leading (n-1) x (n-1) block to its
+    first continued-fraction convergent within tol (denominators up to
+    10^6), then force the last column and row from the sum constraints.
+    None if an entry is not finite, an entry refuses to snap or a forced
+    entry comes out negative.  An empty or non-square x, an entry that is
+    not a real number, or a tol that is not a finite number >= 0, raises
+    DomainError."""
+    tol = _real(tol, "tol")
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+    x = [[_real(v, "a matrix entry") for v in row] for row in x]
     n = len(x)
     if not n or any(len(row) != n for row in x):
         raise DomainError("reconstruct_matrix needs a non-empty square matrix")
@@ -346,7 +337,7 @@ def reconstruct_matrix(x, tol=1e-7):
         return None
     rows = []
     for i in range(n - 1):
-        row = [snap_rational(cell, tol=tol) for cell in x[i][:n - 1]]
+        row = [_snap(cell, tol) for cell in x[i][:n - 1]]
         if None in row:
             return None
         rows.append(row + [1 - sum(row)])

@@ -10,15 +10,18 @@ Every integer argument (an order, count, seed, block size or index, or a
 matrix entry that is not a Fraction) must pass `_integer`: a non-bool
 integer, numpy's included; anything else raises DomainError.  Every
 permutation argument, a Permutation or its image, passes `_as_permutation`:
-an image that is not a bijection of 0..n-1 raises DomainError.  Every exact
-number read from text, a matrix entry or a `ds` argument, follows one
-grammar (`_parse_ratio`); anything else raises ParseError.
+an image that is not a bijection of 0..n-1 raises DomainError.  Every
+float argument (a float-tier entry, a tolerance or a plotting bound) passes
+`_real`: a non-bool real number, numpy's included.  Every exact number read
+from text, a matrix entry or a `ds` argument, follows one grammar
+(`_parse_ratio`); anything else raises ParseError.
 
 All values are immutable after construction and safe to share across
 threads.
 """
 
 import json
+import numbers
 import operator
 import re
 import sys
@@ -77,6 +80,17 @@ def _integer(x, what, least=None):
         pass
     bound = "" if least is None else f" >= {least}"
     raise DomainError(f"{what} must be one of the integers{bound}, got {x!r}")
+
+
+def _real(x, what):
+    """float(x) for a non-bool real number, numpy's included; anything else,
+    or a number past the float range, raises DomainError naming `what`."""
+    try:
+        if isinstance(x, numbers.Real) and not isinstance(x, bool):
+            return float(x)
+    except OverflowError:
+        pass
+    raise DomainError(f"{what} must be a real number, got {x!r}")
 
 
 # ── rational scalars ──────────────────────────────────────────────────────

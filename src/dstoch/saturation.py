@@ -130,17 +130,6 @@ def permutation_equivalent(a, b):
     return None
 
 
-def classify2(a):
-    """Order-2 saturation: true iff a[0,0] is 0, 1/2, or 1.
-
-    Input that is not doubly stochastic is refused (validate_ds raises).
-    """
-    if a.n != 2:
-        raise DomainError(f"classify2 needs order 2, got {a.n}")
-    a = validate_ds(a)
-    return 2 * a.grid[0][0] in (0, a.den, 2 * a.den)
-
-
 def classify3(a):
     """Exact order-3 saturation decision with certificates.
 

@@ -49,7 +49,7 @@ from functools import total_ordering
 from math import isqrt, lcm
 
 from .ratmat import (DomainError, DoublyStochastic, RatMatrix, _integer, _ratio,
-                     all_permutations)
+                     _real, all_permutations)
 
 SIGN_MINUS = "minus"
 SIGN_PLUS = "plus"
@@ -246,9 +246,10 @@ def boundary_curves(u_min, u_max, step):
     """Sample (u, f(u), g(u), h(u)) on an inclusive float grid.
 
     Entries are None where a curve is undefined.  The u column is
-    monotone increasing.  Bounds must be finite and the table at most
-    BOUNDARY_ROW_CAP rows long.
+    monotone increasing.  Bounds and step must be finite real numbers and
+    the table at most BOUNDARY_ROW_CAP rows long.
     """
+    u_min, u_max, step = (_real(x, "a bound or step") for x in (u_min, u_max, step))
     if not all(map(math.isfinite, (u_min, u_max, step))):
         raise DomainError(f"bounds and step must be finite, got {u_min}, {u_max}, {step}")
     if step <= 0:
@@ -338,9 +339,10 @@ def weak_residual(u, v, w):
 
 def _order3_rows(a):
     """(rows, den): the integer numerators of an order-3 RatMatrix over
-    their common denominator den, or the exact rows that params_to_matrix
-    builds at an irrational root, with den = 1."""
-    rows, den = (a.grid, a.den) if isinstance(a, RatMatrix) else (a, 1)
+    their common denominator den, or exact rows (each entry through _q, as
+    params_to_matrix builds them at an irrational root) with den = 1."""
+    rows, den = ((a.grid, a.den) if isinstance(a, RatMatrix)
+                 else ([[_q(x) for x in row] for row in a], 1))
     if len(rows) != 3 or any(len(row) != 3 for row in rows):
         raise DomainError(f"need order 3, got rows of lengths {[len(row) for row in rows]}")
     return rows, den

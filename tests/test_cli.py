@@ -265,6 +265,12 @@ def test_enumerate_bad_zero_cell_exits_2(capsys, zero_cell):
     assert err.startswith("ds: ") and err.count("\n") == 1
 
 
+def test_enumerate_empty_zero_cell_exits_2(capsys):
+    # an empty value is a malformed cell, not a census without one
+    assert run(capsys, "enumerate", "--denominator", "6", "--zero-cell", "") == (
+        2, "", "ds: parse error: --zero-cell expects two integers I,J, got ''\n")
+
+
 def test_option_values_may_start_with_a_minus(capsys, r_file):
     # argparse reads -1 and -.5 as numbers but -1,0 and -1e-3 as option names
     assert run(capsys, "enumerate", "--denominator", "6", "--zero-cell", "-1,0") == (

@@ -33,13 +33,12 @@ from dstoch import (
     reconstruct_matrix,
     search_products,
     sinkhorn,
-    snap_rational,
     validate_ds,
 )
 from dstoch import ratmat, saturation
 from dstoch.explore import (ASYMMETRY_CAP, DENOMINATOR_CAP, NUMPY_MIN_N,
                             PROBE_CAP, _frob_sq, _pairwise_sum,
-                            _sinkhorn_numpy)
+                            _sinkhorn_numpy, _snap)
 
 ID3 = Permutation.identity(3)
 ID4 = Permutation.identity(4)
@@ -644,9 +643,9 @@ def test_sinkhorn_refuses_negative_sums_that_would_balance():
 
 
 def test_snap_rational_refuses_non_finite_values():
-    assert snap_rational(float("nan")) is None
-    assert snap_rational(float("inf")) is None
-    assert snap_rational(-float("inf")) is None
+    # reconstruct_matrix tests finiteness once, before any cell is snapped
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        assert reconstruct_matrix([[bad, 0.5], [0.5, 0.5]]) is None
 
 
 def test_reconstruct_matrix_refuses_a_nan():
@@ -655,23 +654,23 @@ def test_reconstruct_matrix_refuses_a_nan():
 
 
 def test_snap_rational_prefers_small_denominators():
-    assert snap_rational(0.6 + 1e-9) == F(3, 5)
-    assert snap_rational(1 / 3 - 2e-10) == F(1, 3)
-    assert snap_rational(0.0) == 0
+    assert _snap(0.6 + 1e-9, 1e-7) == F(3, 5)
+    assert _snap(1 / 3 - 2e-10, 1e-7) == F(1, 3)
+    assert _snap(0.0, 1e-7) == 0
     # an actually-generic float refuses to snap at tight tolerance
-    assert snap_rational(0.6180339887498949, tol=1e-15, max_den=100) is None
+    assert _snap(0.6180339887498949, 1e-15) is None
 
 
 def test_snap_rational_returns_the_first_convergent_within_tol():
     # not the smallest-denominator rational within tol: 1/11 and 156/217
     # are within tol, but the first convergent within tol is 1/15 in the
-    # first case and has a denominator above 400 in the second
+    # first case and 294/409 in the second
     x, tol = 0.0640314382269973, 0.030126765951571235
     assert abs(F(1, 11) - F(x)) <= tol
-    assert snap_rational(x, max_den=400, tol=tol) == F(1, 15)
+    assert _snap(x, tol) == F(1, 15)
     x, tol = 0.7188239240658031, 7.141294836112025e-05
     assert abs(F(156, 217) - F(x)) <= tol
-    assert snap_rational(x, max_den=400, tol=tol) is None
+    assert _snap(x, tol) == F(294, 409)
 
 
 def test_reconstruct_matrix_recovers_r():
@@ -691,12 +690,12 @@ def test_round_to_ds():
                for j in range(4))
 
 
-def _reference_reconstruct(x, max_den=10 ** 6, tol=1e-7):
-    """The entrywise snap: every entry through snap_rational, None as soon
-    as one refuses; the result need not be doubly stochastic."""
+def _reference_reconstruct(x, tol=1e-7):
+    """The entrywise snap: every entry through _snap, None as soon as one
+    refuses; the result need not be doubly stochastic."""
     rows = []
     for row in np.asarray(x, dtype=float):
-        snapped = [snap_rational(cell, max_den, tol) for cell in row]
+        snapped = [_snap(cell, tol) for cell in row]
         if None in snapped:
             return None
         rows.append(snapped)

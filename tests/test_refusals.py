@@ -1,5 +1,5 @@
-"""Refusals: one integer rule for every public argument, one grammar for
-every exact number `ds` reads, and the error branches of each module with
+"""Refusals: one integer rule for every public argument, one real-number
+rule for every float argument, one grammar for every exact number `ds` reads, and the error branches of each module with
 the exception type and message they carry."""
 
 import io
@@ -25,7 +25,6 @@ from dstoch import (
     block_j_form,
     block_product_probe,
     boundary_curves,
-    classify2,
     diagonal_sum,
     enumerate_grid,
     in_disc_e0,
@@ -47,7 +46,6 @@ from dstoch import (
     reconstruct_matrix,
     search_products,
     sinkhorn,
-    snap_rational,
     solve_w,
     trace_dominant,
     weak_residual,
@@ -97,12 +95,42 @@ HALF = F(1, 2)
     pytest.param(lambda: rationality_probe(3, -1, 0), "samples", id="probe-samples"),
     pytest.param(lambda: rationality_probe(3, 1, "7"), "seed", id="probe-seed"),
     pytest.param(lambda: in_ellipse(1.0, 0, 0), "ellipse index", id="ellipse-index"),
-    pytest.param(lambda: snap_rational(0.5, max_den="5"), "max_den", id="snap-max_den-str"),
-    pytest.param(lambda: snap_rational(0.5, max_den=True), "max_den", id="snap-max_den-bool"),
-    pytest.param(lambda: snap_rational(0.5, max_den=0), "max_den", id="snap-max_den-zero"),
 ])
 def test_every_integer_argument_is_refused_by_one_rule(call, word):
     with pytest.raises(DomainError, match="must be one of the integers") as exc:
+        call()
+    assert word in str(exc.value)
+
+
+# ── the real-number rule ──────────────────────────────────────────────────
+
+J2_FLOATS = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("call, word", [
+    pytest.param(lambda: sinkhorn([["0.5"]]), "Sinkhorn entry", id="sinkhorn-str"),
+    pytest.param(lambda: sinkhorn([[True, 1.0], [1.0, True]]), "Sinkhorn entry",
+                 id="sinkhorn-bool"),
+    pytest.param(lambda: sinkhorn([[None]]), "Sinkhorn entry", id="sinkhorn-none"),
+    pytest.param(lambda: sinkhorn([[1j]]), "Sinkhorn entry", id="sinkhorn-complex"),
+    pytest.param(lambda: sinkhorn([[np.bool_(True)]]), "Sinkhorn entry",
+                 id="sinkhorn-numpy-bool"),
+    pytest.param(lambda: reconstruct_matrix([["0.5", "0.5"], ["0.5", "0.5"]]), "matrix entry",
+                 id="reconstruct-str"),
+    pytest.param(lambda: reconstruct_matrix([[True, False], [False, True]]), "matrix entry",
+                 id="reconstruct-bool"),
+    pytest.param(lambda: reconstruct_matrix(J2_FLOATS, tol=True), "tol",
+                 id="reconstruct-tol-bool"),
+    pytest.param(lambda: reconstruct_matrix(J2_FLOATS, tol=None), "tol",
+                 id="reconstruct-tol-none"),
+    pytest.param(lambda: boundary_curves(True, 1.0, 0.5), "bound", id="boundary-bool"),
+    pytest.param(lambda: boundary_curves(None, 1.0, 0.5), "bound", id="boundary-none"),
+    pytest.param(lambda: boundary_curves(0.0, "1", 0.5), "bound", id="boundary-str"),
+    pytest.param(lambda: boundary_curves(0.0, 1.0, 10 ** 400), "bound",
+                 id="boundary-past-float"),
+])
+def test_every_real_argument_is_refused_by_one_rule(call, word):
+    with pytest.raises(DomainError, match="must be a real number") as exc:
         call()
     assert word in str(exc.value)
 
@@ -141,6 +169,13 @@ def test_numpy_integers_and_fractions_are_still_accepted():
         assert call(i64(0)) == call(0) == call(F(0)), name
     assert solve_w(HALF, i64(0), "plus") == solve_w(HALF, F(0), "plus")
     assert in_ellipse(i64(2), HALF, 0) == in_ellipse(2, HALF, 0)
+    # and by the real-number rule, numpy's floats too
+    x = [[1.0, 2.0], [3.0, 1.0]]
+    assert sinkhorn(np.array(x, dtype=np.float32)) == sinkhorn(x)
+    assert sinkhorn([[F(1), 2], [i64(3), 1]]) == sinkhorn(x)
+    assert reconstruct_matrix(J2_FLOATS, tol=np.float64(1e-7)) == make_jn(2)
+    assert reconstruct_matrix([[HALF, HALF], [HALF, HALF]], tol=F(0)) == make_jn(2)
+    assert boundary_curves(np.float64(-1), F(1), 1) == boundary_curves(-1.0, 1.0, 1.0)
 
 
 # ── branches the other tests do not reach ─────────────────────────────────
@@ -169,11 +204,8 @@ def _spec(parts):
                  id="search_products-cap"),
     pytest.param(lambda: sinkhorn([[1.0, 2.0]]), DomainError, "square",
                  id="sinkhorn-not-square"),
-    pytest.param(lambda: snap_rational(0.5, tol=-1), DomainError, "tol",
-                 id="snap-tol-negative"),
-    pytest.param(lambda: snap_rational(0.5, tol=math.nan), DomainError, "tol",
-                 id="snap-tol-nan"),
-    pytest.param(lambda: snap_rational(0.5, tol="0"), DomainError, "tol", id="snap-tol-str"),
+    pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol="0"), DomainError,
+                 "tol", id="reconstruct-tol-str"),
     pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=-1), DomainError,
                  "tol", id="reconstruct-tol-negative"),
     pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=math.nan),
@@ -204,7 +236,6 @@ def _spec(parts):
                  "mismatch", id="equivalent-order"),
     pytest.param(lambda: permutation_equivalent(make_jn(9), make_jn(9)), OrderTooLarge,
                  "equivalence", id="equivalent-cap"),
-    pytest.param(lambda: classify2(make_jn(3)), DomainError, "order", id="classify2-order"),
     # weakform
     pytest.param(lambda: solve_w(0, 0, "+"), DomainError, "sign", id="solve_w-sign"),
     pytest.param(lambda: params_to_matrix((0, 0)), DomainError, "triple",
@@ -224,6 +255,11 @@ def _spec(parts):
                  "order", id="weak_saturation-ragged"),
     pytest.param(lambda: trace_dominant([[1], [2], [3]]), DomainError, "order",
                  id="trace_dominant-column"),
+    pytest.param(lambda: trace_dominant([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+                 DomainError, "weak-form parameter", id="trace_dominant-str"),
+    pytest.param(lambda: weak_saturation_check([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                                                [0.5, 0.0, 0.5]]),
+                 DomainError, "weak-form parameter", id="weak_saturation-float"),
     pytest.param(lambda: trace_dominant([[1, 0, 0], [0, 1, 0, 0], [0, 0, 1]]), DomainError,
                  "order", id="trace_dominant-ragged"),
 ])

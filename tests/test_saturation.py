@@ -1,10 +1,13 @@
-"""The order-3 saturation classifier and permutation equivalence."""
+"""The order-3 saturation classifier, permutation equivalence, and the
+gap's decision at order 2 against its closed form."""
 
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
 
+import dstoch.cli
 import dstoch.saturation
 from dstoch import (
     CANONICAL_TAGS,
@@ -15,7 +18,6 @@ from dstoch import (
     SplitMix64,
     all_permutations,
     canonical,
-    classify2,
     classify3,
     diagonal_sum,
     frobenius_sq,
@@ -27,6 +29,7 @@ from dstoch import (
     random_ds,
     validate_ds,
 )
+from dstoch.ratmat import matrix_payload
 
 S = canonical("S")
 T = canonical("T")
@@ -35,6 +38,50 @@ R = canonical("R")
 
 def _two_by_two(t):
     return validate_ds(RatMatrix([[t, 1 - t], [1 - t, t]]))
+
+
+# ── order 2: Marcus and Ree's closed form, the oracle for the gap ─────────
+
+def classify2(a):
+    """Order-2 saturation: true iff a[0,0] is 0, 1/2, or 1.
+
+    Input that is not doubly stochastic is refused (validate_ds raises).
+    """
+    if a.n != 2:
+        raise DomainError(f"classify2 needs order 2, got {a.n}")
+    a = validate_ds(a)
+    return 2 * a.grid[0][0] in (0, a.den, 2 * a.den)
+
+
+def _order2_inputs():
+    """[[t, 1 - t], [1 - t, t]] for t = k/d, d <= 12 and -1 <= k <= d + 1:
+    every doubly stochastic one on the grid and one step past each end."""
+    return [RatMatrix([[t, 1 - t], [1 - t, t]])
+            for d in range(1, 13) for t in sorted({F(k, d) for k in range(-1, d + 2)})]
+
+
+def test_gap_decides_order_2_as_the_closed_form():
+    for m in _order2_inputs():
+        try:
+            expected = classify2(m)
+        except DomainError:
+            continue
+        assert marcus_ree_gap(m).saturated is expected, m
+
+
+def test_ds_classify_prints_the_closed_form_at_order_2(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    refused = 0
+    for m in _order2_inputs():
+        path.write_text(json.dumps(matrix_payload(m)))
+        try:
+            saturated = json.dumps({"saturated": classify2(m)}, separators=(",", ":"))
+            expected = (0, saturated + "\n", "")
+        except DomainError as exc:
+            expected, refused = (1, "", f"ds: {exc}\n"), refused + 1
+        code = dstoch.cli.main(["classify", str(path)])
+        assert (code, *capsys.readouterr()) == expected, m
+    assert refused == 2 * 12
 
 
 def test_canonical_representatives():
@@ -106,10 +153,9 @@ def test_classify3_wrong_order():
 
 
 def test_classify2():
-    assert classify2(_two_by_two(F(1, 2)))
-    assert classify2(_two_by_two(F(1)))
-    assert classify2(_two_by_two(F(0)))
-    assert not classify2(_two_by_two(F(1, 4)))
+    for t, saturated in ((F(1, 2), True), (F(1), True), (F(0), True), (F(1, 4), False)):
+        assert classify2(_two_by_two(t)) is saturated
+        assert marcus_ree_gap(_two_by_two(t)).saturated is saturated
 
 
 def test_classify3_matches_gap_oracle_on_canonical_orbits():
