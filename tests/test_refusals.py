@@ -105,6 +105,7 @@ def test_every_integer_argument_is_refused_by_one_rule(call, word):
 # ── the real-number rule ──────────────────────────────────────────────────
 
 J2_FLOATS = [[0.5, 0.5], [0.5, 0.5]]
+PI_TENTHS = [[math.pi / 10, 1 - math.pi / 10], [1 - math.pi / 10, math.pi / 10]]
 
 
 @pytest.mark.parametrize("call, word", [
@@ -210,6 +211,12 @@ def _spec(parts):
                  "tol", id="reconstruct-tol-negative"),
     pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [0.5, 0.5]], tol=math.nan),
                  DomainError, "tol", id="reconstruct-tol-nan"),
+    # the snap itself never refuses: a bad tol only makes it return None, so
+    # these rows hold that the tol check comes first, on cells that would not snap
+    pytest.param(lambda: reconstruct_matrix(PI_TENTHS, tol=-1), DomainError, "tol",
+                 id="snap-tol-negative"),
+    pytest.param(lambda: reconstruct_matrix(PI_TENTHS, tol=math.nan), DomainError, "tol",
+                 id="snap-tol-nan"),
     pytest.param(lambda: reconstruct_matrix([]), DomainError, "square", id="reconstruct-empty"),
     pytest.param(lambda: reconstruct_matrix([[0.5, 0.5], [1.0]]), DomainError, "square",
                  id="reconstruct-ragged"),
