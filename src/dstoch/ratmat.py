@@ -23,7 +23,6 @@ threads.
 import json
 import numbers
 import operator
-import re
 import sys
 from fractions import Fraction
 from itertools import chain, permutations
@@ -95,23 +94,25 @@ def _real(x, what):
 
 # ── rational scalars ──────────────────────────────────────────────────────
 
-# the one grammar of every exact number `ds` reads: an optional sign, ASCII
-# digits (`\d` would take any Unicode digit) and an optional "/q"
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _BLANKS = " \t\r\n\v\f"   # the only blanks stripped around a number or skipped as a line
 
 
 def _parse_ratio(text, integer=False):
     """(p, q) of "p/q" or an integer string, q > 0 and not reduced, with
     surrounding ASCII blanks stripped; with integer, "/q" is refused too.
-    Decimals are rejected: the formats are exact, "0.5" ambiguous in intent."""
-    what, text = "integer" if integer else "rational", text.strip(_BLANKS)
-    match = _RATIONAL_RE.fullmatch(text)
-    if not match or integer and match[1]:
+    The one grammar of every exact number `ds` reads: a sign, ASCII digits
+    (isdigit() alone takes "٣" and "²") and "/q", the sign and "/q" optional;
+    decimals are rejected: the formats are exact, "0.5" ambiguous in intent."""
+    what = "integer" if integer else "rational"
+    if not isinstance(text, str):
         raise ParseError(f"not an exact {what}: {text!r}")
-    num, _, den = text.partition("/")
+    text = text.strip(_BLANKS)
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and (num.isdigit() or num[:1] in "+-" and num[1:].isdigit())
+            and (not slash or not integer and den.isdigit())):
+        raise ParseError(f"not an exact {what}: {text!r}")
     try:
-        num, den = int(num), int(den or 1)
+        num, den = int(num), int(den) if slash else 1
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"{what} too long: {len(text)} characters") from None
     if den == 0:
@@ -248,9 +249,12 @@ _EXACT = (Fraction, int)
 
 
 def _of_ratios(cls, ratios):
-    """The cls matrix of rows of (p, q) pairs, q > 0, over one lcm of the q."""
-    den = lcm(*(q for row in ratios for _, q in row))
-    return cls.of_grid([[p * (den // q) for p, q in row] for row in ratios], den)
+    """The cls matrix of rows of (p, q) pairs of ints, q > 0, over one lcm of
+    the distinct q, each scale factor den // q computed once."""
+    qs = {q for row in ratios for _, q in row}
+    den = lcm(*qs)
+    scale = {q: den // q for q in qs}
+    return cls._reduced([[p * scale[q] for p, q in row] for row in ratios], den)
 
 
 def _wrap(cls, grid, den):
@@ -284,7 +288,12 @@ class RatMatrix:
         """The matrix with entries grid[i][j] / den, for integers and
         den >= 1, divided down to lowest terms."""
         den = _integer(den, "the denominator", 1)
-        grid = [list(map(operator.index, row)) for row in grid]
+        return cls._reduced([list(map(operator.index, row)) for row in grid], den)
+
+    @classmethod
+    def _reduced(cls, grid, den):
+        """The one reduce step of every constructor: the matrix of a list
+        grid of ints over an int den >= 1, divided down to lowest terms."""
         if any(len(row) != len(grid) for row in grid):
             raise DomainError("matrix must be square")
         c = gcd(den, *chain.from_iterable(grid))
@@ -341,13 +350,14 @@ class RatMatrix:
 
 class DoublyStochastic(RatMatrix):
     """An immutable RatMatrix checked to be doubly stochastic, exactly, by
-    `of_grid`, which `validate_ds` and every constructor build through."""
+    `_reduced`, which every constructor builds through (`validate_ds`
+    checks a RatMatrix's grid as it is)."""
 
     __slots__ = ()
 
     @classmethod
-    def of_grid(cls, grid, den):
-        m = super().of_grid(grid, den)
+    def _reduced(cls, grid, den):
+        m = super()._reduced(grid, den)
         _check_ds(m)
         return m
 

@@ -79,6 +79,27 @@ MUTANTS = (
     Mutant("zero-cell-truthiness", "cli", "None if args.zero_cell is None else",
            "None if not args.zero_cell else",
            ("tests/test_cli.py::test_enumerate_empty_zero_cell_exits_2",)),
+    # the number grammar taking any Unicode digit that int() reads
+    Mutant("grammar-non-ascii", "ratmat", "text.isascii() and (num.isdigit()",
+           "(num.isdigit()",
+           ("tests/test_refusals.py::test_ds_refuses_every_number_off_the_grammar[tn-arabic]",
+            "tests/test_refusals.py::test_ds_refuses_every_number_off_the_grammar[u-arabic]")),
+    # parsed text kept over the lcm of its unreduced denominators: no gcd
+    Mutant("parse-unreduced", "ratmat",
+           "return cls._reduced([[p * scale[q] for p, q in row] for row in ratios], den)",
+           "return _wrap(cls, [[p * scale[q] for p, q in row] for row in ratios], den)",
+           ("tests/test_ratmat.py::test_every_constructor_stores_one_canonical_grid",)),
+    # U+ with the E1 or the E2 boundary left out, U- with E2 or E1 open
+    Mutant("u-plus-e1-open", "weakform", "_EXCESS[1](*p) >= 0 and", "_EXCESS[1](*p) > 0 and",
+           ("tests/test_weakform.py::test_u_plus_membership",)),
+    Mutant("u-plus-e2-open", "weakform", "_EXCESS[2](*p) >= 0", "_EXCESS[2](*p) > 0",
+           ("tests/test_weakform.py::test_u_plus_membership",)),
+    Mutant("u-minus-e2-open", "weakform", "_EXCESS[2](*p) <= 0)", "_EXCESS[2](*p) < 0)",
+           ("tests/test_weakform.py::test_construction_matches_regions_next_to_the_boundaries"
+            "[eps0]",)),
+    Mutant("u-minus-e1-open", "weakform", "_EXCESS[1](*p) <= 0))", "_EXCESS[1](*p) < 0))",
+           ("tests/test_weakform.py::test_construction_matches_regions_next_to_the_boundaries"
+            "[eps0]",)),
     # reconstruct_matrix snapping to denominators up to 10^5, not 10^6
     Mutant("snap-denominator-bound", "explore", "_SNAP_MAX_DEN = 10 ** 6",
            "_SNAP_MAX_DEN = 10 ** 5",

@@ -3,10 +3,12 @@
 import copy
 import json
 import pickle
+import re
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dstoch.ratmat
 from dstoch import (
@@ -34,7 +36,7 @@ from dstoch import (
     random_ds,
     validate_ds,
 )
-from dstoch.ratmat import matrix_payload
+from dstoch.ratmat import _BLANKS, matrix_payload
 
 
 def write_matrix(m):
@@ -99,13 +101,15 @@ def test_gap_decision_scales_once(monkeypatch):
     calls = []
 
     def counting_lcm(*args):
-        calls.append(len(args))
+        calls.append(args)
         return lcm(*args)
 
     monkeypatch.setattr(dstoch.ratmat, "lcm", counting_lcm)
     rows = random_ds(6, 9, seed=12).rows
     report = marcus_ree_gap(validate_ds(RatMatrix(rows)))
-    assert calls == [36]
+    # one lcm per decision, over each distinct entry denominator once
+    distinct = {x.denominator for row in rows for x in row}
+    assert len(calls) == 1 and sorted(calls[0]) == sorted(distinct) and len(distinct) > 1
     assert report == marcus_ree_gap(RatMatrix(rows))
 
 
@@ -338,6 +342,61 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+# the number grammar as it was read by a regex, kept as the oracle of the
+# string checks that replaced it in `dstoch.ratmat`
+
+# the one grammar of every exact number `ds` reads: an optional sign, ASCII
+# digits (`\d` would take any Unicode digit) and an optional "/q"
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_ratio(text, integer=False):
+    """(p, q) of "p/q" or an integer string, q > 0 and not reduced, with
+    surrounding ASCII blanks stripped; with integer, "/q" is refused too.
+    Decimals are rejected: the formats are exact, "0.5" ambiguous in intent."""
+    what, text = "integer" if integer else "rational", text.strip(_BLANKS)
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match or integer and match[1]:
+        raise ParseError(f"not an exact {what}: {text!r}")
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"{what} too long: {len(text)} characters") from None
+    if den == 0:
+        raise ParseError(f"zero denominator: {text!r}")
+    return num, den
+
+
+def _parse_outcome(parse, text, integer):
+    try:
+        return parse(text, integer)
+    except ParseError as exc:
+        return str(exc)
+
+
+_DIGITS = "1" * 5000   # past the interpreter's int() digit limit
+# "²" is a str.isdigit() digit that int() refuses, "٣" and "１" digits int() reads
+_NUMBER_CORPUS = ["+3", " 3 ", "-0/5", "5/", "/2", "5//2", "+-1", "1_0", "٣", "²",
+                  "１", "1　2", "1/0", _DIGITS, f"-{_DIGITS}/7", f"3/{_DIGITS}",
+                  f"{_DIGITS}/{_DIGITS}", "3/5", "\t-12/08\n", "0/0", "", " ", "+", "-/1"]
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["rational", "integer"])
+def test_number_grammar_matches_the_regex_oracle_on_a_corpus(integer):
+    for text in _NUMBER_CORPUS:
+        assert (_parse_outcome(dstoch.ratmat._parse_ratio, text, integer)
+                == _parse_outcome(_parse_ratio, text, integer)), text
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(st.text(alphabet="0123456789+-/ _\t\n٣²１　 x.", max_size=12),
+       st.booleans())
+def test_number_grammar_matches_the_regex_oracle(text, integer):
+    assert (_parse_outcome(dstoch.ratmat._parse_ratio, text, integer)
+            == _parse_outcome(_parse_ratio, text, integer))
+
+
 def test_round_trip_exact():
     rng = SplitMix64(3)
     for _ in range(25):
@@ -405,7 +464,7 @@ def test_ratmat_refuses_entries_that_are_not_exact_rationals(bad):
 
 def test_ratmat_intake_matches_the_per_entry_path():
     # entries of exactly Fraction or int are read as they are, any other
-    # entry through `_ratio`; one lcm over all entries scales them all
+    # entry through `_ratio`; one lcm over the distinct denominators scales them all
     from dstoch.ratmat import _of_ratios, _ratio
 
     class Half(F):

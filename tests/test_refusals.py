@@ -224,6 +224,13 @@ def _spec(parts):
                  id="reconstruct-wide"),
     # ratmat
     pytest.param(lambda: parse_rational("1/0"), ParseError, "zero", id="parse-zero-den"),
+    # the grammar reads text only: anything else is off it, not a crash
+    pytest.param(lambda: parse_rational(None), ParseError, "not an exact rational: None",
+                 id="parse-none"),
+    pytest.param(lambda: parse_rational(5), ParseError, "not an exact rational: 5",
+                 id="parse-int"),
+    pytest.param(lambda: parse_integer(b"5"), ParseError, "not an exact integer: b'5'",
+                 id="parse_integer-bytes"),
     pytest.param(lambda: Permutation([1, 0]).compose(I3), DomainError, "size",
                  id="compose-size"),
     pytest.param(lambda: Permutation([0, 1]).compose([5, 5]), DomainError, "permutation",
