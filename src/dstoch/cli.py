@@ -62,13 +62,14 @@ def cmd_maxprod(args):
 
 
 def cmd_classify(args):
-    from . import diagsum, saturation
+    from . import diagsum
     m = validate_ds(read_matrix(args.matrix))
     if m.n == 2:  # Marcus-Ree: saturated iff a11 is 0, 1/2 or 1
         _emit({"saturated": diagsum.marcus_ree_gap(m).saturated})
         return
     if m.n != 3:
         raise DomainError(f"classify supports orders 2 and 3, got {m.n}")
+    from . import saturation  # after the order checks: order 2 needs only diagsum
     c = saturation.classify3(m)
     if c.saturated:
         _emit({"saturated": True, "form": c.form,

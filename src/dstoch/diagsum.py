@@ -218,8 +218,7 @@ def max_trace_assignment(a):
     the lex smallest one is found on that subgraph by `_lex_min_matching`,
     starting from the solver's own assignment, which is tight.
     """
-    n = a.n
-    grid, den = a.grid, a.den
+    n, grid, den = a.n, a.grid, a.den
     assign, u, v = _assignment_max(grid)
     tight = [[j for j in range(n) if grid[i][j] == u[i] + v[j]] for i in range(n)]
     image = _lex_min_matching(tight, assign)
@@ -228,11 +227,11 @@ def max_trace_assignment(a):
 
 
 def max_trace_value(rows):
-    """Maximum diagonal sum of a plain list-of-lists matrix (any ordered
-    number type, e.g. floats); used for float-tier screening."""
+    """Maximum diagonal sum of a list-of-lists matrix of any ordered number
+    type, 0 if empty: the exact gap's trace on a grid, the probe's on floats."""
     assign, _, _ = _assignment_max(rows)
     # left to right: the builtin sum compensates float sums from Python 3.12 on
-    return functools.reduce(operator.add, (rows[i][assign[i]] for i in range(len(rows))))
+    return functools.reduce(operator.add, (rows[i][assign[i]] for i in range(len(rows))), 0)
 
 
 # ── permanent ─────────────────────────────────────────────────────────────
@@ -439,10 +438,10 @@ def _glynn_int64(grid, runs):
 def marcus_ree_gap(a):
     """GapReport for a matrix: frob_sq, max_trace, gap, saturated.
 
-    The maximal trace comes from the integer assignment solver at every
-    order; it is exact, so `saturated` is a genuine equality decision.
+    The maximal trace is `max_trace_value` of the integer grid: exact, with
+    no witness built, so `saturated` is a genuine equality decision.
     """
     frob = frobenius_sq(a)
-    trace = max_trace_assignment(a).max_value
+    trace = Fraction(max_trace_value(a.grid), a.den)
     gap = trace - frob
     return GapReport(frob, trace, gap, gap == 0)

@@ -52,6 +52,7 @@ DENOMINATOR_CAP = 240  # largest d; the census matched an exhaustive scan up to 
 ASYMMETRY_CAP = 8
 PROBE_CAP = 64  # largest order rationality_probe accepts
 PROBE_TOL = 1e-9  # float gap under which a probe sample becomes a candidate
+_CENSUS = sorted(_ORBITS.values(), key=lambda hit: hit[0].rows)  # row-major by value
 
 
 class DenominatorTooLarge(DomainError):
@@ -104,8 +105,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
     (1/denominator) * Z; classifies every saturating one.
 
     The saturating ones are the (member, Classification) pairs stored in
-    `saturation`'s orbit table whose member's denominator divides d, in
-    row-major order of their cells over d.  zero_cell, if given as (i, j),
+    `saturation`'s orbit table whose member's denominator divides d, kept in
+    `_CENSUS` sorted once row-major by value.  zero_cell, if given as (i, j),
     restricts the census to matrices whose (i, j) entry is 0.  ds_count is
     the Ehrhart polynomial of the Birkhoff polytope B_3, MacMahon's
     C(d+4,4) + C(d+3,4) + C(d+2,4), or with a zero cell C(d+3,3): the
@@ -129,9 +130,8 @@ def enumerate_grid(denominator, zero_cell=None, threads=None):
             raise DomainError(f"zero_cell out of range: {(i, j)}")
     if threads is not None:
         _integer(threads, "threads", 1)
-    found = [(m, c) for m, c in _ORBITS.values()
+    found = [(m, c) for m, c in _CENSUS
              if d % m.den == 0 and (zero_cell is None or m.grid[i][j] == 0)]
-    found.sort(key=lambda hit: [x * (d // hit[0].den) for row in hit[0].grid for x in row])
     if zero_cell is None:
         ds_count = math.comb(d + 4, 4) + math.comb(d + 3, 4) + math.comb(d + 2, 4)
     else:

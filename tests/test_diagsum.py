@@ -645,6 +645,47 @@ def test_gap_examples():
     assert marcus_ree_gap(positive).gap > 0
 
 
+def test_gap_trace_matches_brute_on_random_and_grid_inputs():
+    rng = SplitMix64(33)
+    for n in range(1, 8):
+        for _ in range(6):
+            a = random_ds(n, rng.randint(1, n + 2), seed=rng.next64())
+            assert marcus_ree_gap(a).max_trace == max_trace_brute(a).max_value, a
+    points = 0
+    for d in range(1, 9):  # every 3 x 3 doubly stochastic matrix on the 1/d grid
+        for x11, x12, x21, x22 in itertools.product(range(d + 1), repeat=4):
+            grid = [[x11, x12, d - x11 - x12], [x21, x22, d - x21 - x22],
+                    [d - x11 - x21, d - x12 - x22, x11 + x12 + x21 + x22 - d]]
+            if min(map(min, grid)) < 0:
+                continue
+            a = RatMatrix.of_grid(grid, d)
+            assert marcus_ree_gap(a).max_trace == max_trace_brute(a).max_value, grid
+            points += 1
+    assert points == sum(math.comb(d + 4, 4) + math.comb(d + 3, 4) + math.comb(d + 2, 4)
+                         for d in range(1, 9))
+
+
+def test_gap_of_the_empty_matrix():
+    assert marcus_ree_gap(RatMatrix([])) == diagsum.GapReport(0, 0, 0, True)
+    assert diagsum.max_trace_value([]) == 0
+
+
+def test_gap_builds_no_witness(monkeypatch):
+    cases = {"J3": make_jn(3), "T": T, "R": R, "big": random_ds(64, 16, seed=33)}
+    expected = {name: (frobenius_sq(a), max_trace_assignment(a).max_value)
+                for name, a in cases.items()}
+
+    def witness(*args):
+        raise AssertionError("the gap built a witness")
+
+    monkeypatch.setattr(diagsum, "_lex_min_matching", witness)
+    monkeypatch.setattr(diagsum, "max_trace_assignment", witness)
+    for name, a in cases.items():
+        frob, trace = expected[name]
+        assert marcus_ree_gap(a) == (frob, trace, trace - frob, trace == frob), name
+    assert expected["R"] == (F(7, 5), F(7, 5)) and expected["big"][1] > expected["big"][0]
+
+
 def test_tn_values():
     for n in range(2, 33):
         report = marcus_ree_gap(make_tn(n))

@@ -134,13 +134,14 @@ def test_probe_frobenius_sum_runs_without_numpy():
     assert frob_sq == float((x * x).sum())
 
 
-# An argv (MATRIX stands for a file holding T) and the modules it loads
-# besides dstoch, dstoch.cli and dstoch.ratmat; "--help" stops in argparse
-# before any handler runs.
+# An argv (MATRIX stands for a file holding T, MATRIX2 for a 2 x 2 one) and
+# the modules it loads besides dstoch, dstoch.cli and dstoch.ratmat; "--help"
+# stops in argparse before any handler runs.
 VERB_MODULES = [
     (["check", "MATRIX"], set()),
     (["gap", "MATRIX"], {"diagsum"}),
     (["classify", "MATRIX"], {"saturation", "diagsum"}),
+    (["classify", "MATRIX2"], {"diagsum"}),
     (["region", "--u", "0", "--v", "-3/5"], {"weakform"}),
     (["construct", "--u", "0", "--v", "-3/5", "--sign", "minus"], {"weakform"}),
     (["products", "--n", "3", "--samples", "2", "--seed", "4"],
@@ -199,13 +200,14 @@ print(json.dumps({"bare": bare, "wrong": wrong, "cached": cached,
 
 
 def test_each_verb_loads_only_its_modules(tmp_path):
-    path = tmp_path / "T.json"
-    path.write_text(write_matrix(canonical("T")))
+    files = {"MATRIX": tmp_path / "T.json", "MATRIX2": tmp_path / "quarter.json"}
+    files["MATRIX"].write_text(write_matrix(canonical("T")))
+    files["MATRIX2"].write_text('{"n":2,"rows":[["1/4","3/4"],["3/4","1/4"]]}')
     # what a bare interpreter in this environment already holds
     bare = _fresh(f"import json, sys\nHEAVY = {HEAVY!r}\n"
                   "print(json.dumps(sorted(m for m in HEAVY if m in sys.modules)))")
     for argv, extra in VERB_MODULES:
-        argv = [str(path) if a == "MATRIX" else a for a in argv]
+        argv = [str(files.get(a, a)) for a in argv]
         code, loaded, heavy = _fresh(f"ARGV = {argv!r}\nHEAVY = {HEAVY!r}\n"
                                      + VERB_SCRIPT)
         assert code == 0, argv

@@ -104,6 +104,19 @@ MUTANTS = (
     Mutant("snap-denominator-bound", "explore", "_SNAP_MAX_DEN = 10 ** 6",
            "_SNAP_MAX_DEN = 10 ** 5",
            ("tests/test_explore.py::test_reconstruct_matrix_forces_the_sums",)),
+    # the gap's trace taken as the sum of the row maxima: 8/5 for R, not 7/5
+    Mutant("gap-row-maxima", "diagsum", "trace = Fraction(max_trace_value(a.grid), a.den)",
+           "trace = Fraction(sum(map(max, a.grid)), a.den)",
+           ("tests/test_cli.py::test_gap_golden",)),
+    # the trace sum with no start value: the empty matrix raises TypeError
+    Mutant("trace-value-no-start", "diagsum", "for i in range(len(rows))), 0)",
+           "for i in range(len(rows))))",
+           ("tests/test_diagsum.py::test_gap_of_the_empty_matrix",)),
+    # the census records in the orbit table's insertion order, unsorted
+    Mutant("census-unsorted", "explore",
+           "_CENSUS = sorted(_ORBITS.values(), key=lambda hit: hit[0].rows)",
+           "_CENSUS = list(_ORBITS.values())",
+           ("tests/test_cli.py::test_enumerate_d60_bytes_golden[None-1]",)),
 )
 
 # Runs in a fresh interpreter: argv holds the copy's directory, the path to
